@@ -46,7 +46,8 @@ int main() {
         proj = "{";
         for (int a = 1; a <= p; ++a) {
           if (a > 1) proj += ",";
-          proj += "@" + std::to_string(a);
+          proj += '@';
+          proj += std::to_string(a);
         }
         proj += "}";
       }

@@ -113,9 +113,10 @@ struct JobSpec {
   Schema schema;
   System system = System::kHadoop;
 
-  /// The @HailQuery annotation. For kHadoop the filter is evaluated inside
-  /// the map wrapper (Bob's hand-written string-splitting filter); for
-  /// kHail/kHadoopPP it drives index selection and post-filtering.
+  /// The @HailQuery annotation. For kHadoop the text reader evaluates the
+  /// filter on every row before the map (Bob's hand-written
+  /// string-splitting filter); for kHail/kHadoopPP it drives index
+  /// selection and post-filtering.
   std::optional<QueryAnnotation> annotation;
 
   /// User map function; when empty, a default function emits the projected

@@ -76,11 +76,6 @@ struct ReadContext {
   int task_node = 0;
   MapOutput* out = nullptr;
 
-  /// Optional pre-compiled annotation filter, installed by row-major
-  /// readers for the duration of a split so InvokeMap evaluates the
-  /// per-row filter without Predicate::Matches' per-term type dispatch.
-  const CompiledPredicate* row_matcher = nullptr;
-
   // -- statistics the reader reports back --
   uint64_t records_seen = 0;
   uint64_t records_qualifying = 0;
@@ -138,11 +133,10 @@ Result<size_t> ReadReplicaWithFailover(ReadContext* ctx, uint64_t block_id,
                                        TaskCost* cost,
                                        std::string_view* bytes_out);
 
-/// Invokes the job's map function (or the default projector) on a record,
-/// applying the annotation filter first for text records (Bob's manual
-/// filter in stock Hadoop). Returns true when the record qualified.
-bool InvokeMap(const ReadContext& ctx, const HailRecord& record,
-               bool already_filtered);
+/// Invokes the job's map function (or the default projector) on a record.
+/// Readers call it only for bad records and for rows that satisfy the
+/// annotation filter; every reader applies the filter itself.
+void InvokeMap(const ReadContext& ctx, const HailRecord& record);
 
 }  // namespace mapreduce
 }  // namespace hail

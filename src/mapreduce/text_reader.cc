@@ -22,15 +22,13 @@ std::vector<int> ReplicaOrder(const std::vector<int>& holders,
   return order;
 }
 
-/// Clears the context's row-matcher pointer on every exit path so it never
-/// dangles into reader-local state.
-class RowMatcherScope {
- public:
-  explicit RowMatcherScope(ReadContext* ctx) : ctx_(ctx) {}
-  ~RowMatcherScope() { ctx_->row_matcher = nullptr; }
-
- private:
-  ReadContext* ctx_;
+/// Per-split state of the filter-first row loop: the compiled annotation
+/// filter and one walked field per schema column, reused across rows so a
+/// row that fails the filter costs no heap allocation.
+struct RowScan {
+  const Schema* schema = nullptr;
+  CompiledPredicate filter;  // empty (every row qualifies) without a filter
+  std::vector<FieldScalar> fields;
 };
 
 /// \brief Stock Hadoop: full scan over text blocks.
@@ -44,30 +42,57 @@ class TextRecordReader : public RecordReader {
   Result<TaskCost> ReadSplit(const InputSplit& split,
                              ReadContext* ctx) override {
     TaskCost cost;
-    RowParser parser(ctx->spec->schema);
-    // Compile the annotation filter once per split; InvokeMap then skips
-    // the per-row, per-term type dispatch of Predicate::Matches. A filter
-    // that cannot be compiled against the schema fails the split, same as
-    // the HAIL reader.
-    CompiledPredicate matcher;
-    RowMatcherScope scope(ctx);
+    RowScan scan;
+    scan.schema = &ctx->spec->schema;
+    scan.fields.resize(static_cast<size_t>(scan.schema->num_fields()));
+    // Compile the annotation filter once per split. A filter that cannot
+    // be compiled against the schema fails the split, same as the HAIL
+    // reader.
     if (ctx->spec->annotation.has_value() &&
         ctx->spec->annotation->has_filter()) {
       HAIL_ASSIGN_OR_RETURN(
-          matcher, CompiledPredicate::Compile(ctx->spec->annotation->filter,
-                                              ctx->spec->schema));
-      ctx->row_matcher = &matcher;
+          scan.filter, CompiledPredicate::Compile(
+                           ctx->spec->annotation->filter, *scan.schema));
     }
     for (size_t b = 0; b < split.blocks.size(); ++b) {
       HAIL_RETURN_NOT_OK(
-          ReadOneBlock(split.block_indexes[b], &parser, ctx, &cost));
+          ReadOneBlock(split.block_indexes[b], &scan, ctx, &cost));
     }
     return cost;
   }
 
  private:
-  Status ReadOneBlock(uint32_t block_index, RowParser* parser,
-                      ReadContext* ctx, TaskCost* cost) {
+  /// Hands one text row to the map function. Stock Hadoop leaves the
+  /// filtering to Bob's map code (§4.1); the reader applies the same
+  /// predicate first so that only qualifying rows are boxed into Values.
+  /// Every field is still validated, so bad records are detected exactly
+  /// as RowParser::Parse detects them, and reach the map with their raw
+  /// text.
+  static void ProcessRow(std::string_view row, RowScan* scan,
+                         ReadContext* ctx) {
+    std::vector<FieldScalar>& fields = scan->fields;
+    const bool ok = WalkFields(
+        *scan->schema, row, [&](int i, FieldType, const FieldScalar& f) {
+          fields[static_cast<size_t>(i)] = f;
+        });
+    if (!ok) {
+      ++ctx->bad_records;
+      InvokeMap(*ctx, HailRecord::BadRecord(std::string(row)));
+      return;
+    }
+    if (!scan->filter.MatchesFields(fields)) return;
+    ++ctx->records_qualifying;
+    std::vector<Value> values;
+    values.reserve(fields.size());
+    for (size_t i = 0; i < fields.size(); ++i) {
+      values.push_back(
+          BoxField(scan->schema->field(static_cast<int>(i)).type, fields[i]));
+    }
+    InvokeMap(*ctx, HailRecord::FullRow(std::move(values)));
+  }
+
+  Status ReadOneBlock(uint32_t block_index, RowScan* scan, ReadContext* ctx,
+                      TaskCost* cost) {
     const hdfs::BlockLocation& loc =
         ctx->plan->file_blocks[block_index];
     const size_t bspan =
@@ -107,8 +132,15 @@ class TextRecordReader : public RecordReader {
     }
 
     // Boundary rule part 2: finish our last line from following blocks.
-    std::string content(data.substr(begin));
-    if (!content.empty() && content.back() != '\n') {
+    // Rows are read in place from the block; only that straddling last
+    // line is copied.
+    std::string_view content = data.substr(begin);
+    std::string straddle;
+    const size_t last_nl = content.rfind('\n');
+    const size_t tail = last_nl == std::string_view::npos ? 0 : last_nl + 1;
+    if (tail < content.size()) {
+      straddle.assign(content.substr(tail));
+      content = content.substr(0, tail);
       for (uint32_t next = block_index + 1;
            next < ctx->plan->file_blocks.size(); ++next) {
         const hdfs::BlockLocation& nloc = ctx->plan->file_blocks[next];
@@ -123,31 +155,29 @@ class TextRecordReader : public RecordReader {
                 .status());
         const size_t nl = ndata.find('\n');
         if (nl == std::string_view::npos) {
-          content.append(ndata);  // a row spanning >1 whole block
+          straddle.append(ndata);  // a row spanning >1 whole block
           continue;
         }
-        content.append(ndata.substr(0, nl));
+        straddle.append(ndata.substr(0, nl));
         break;
       }
     }
 
-    // Parse + hand every row to the map function (filtering happens in
-    // Bob's map code for stock Hadoop).
+    // Every non-empty line is a record; `records` drives the billing.
+    // `content` is empty or ends in '\n', so every find below succeeds.
     uint64_t records = 0;
-    for (std::string_view row : SplitRows(content)) {
-      if (row.empty()) continue;
-      ++records;
-      ParsedRow parsed = parser->Parse(row);
-      if (parsed.ok) {
-        if (InvokeMap(*ctx, HailRecord::FullRow(std::move(parsed.values)),
-                      /*already_filtered=*/false)) {
-          ++ctx->records_qualifying;
-        }
-      } else {
-        ++ctx->bad_records;
-        InvokeMap(*ctx, HailRecord::BadRecord(std::string(row)),
-                  /*already_filtered=*/false);
+    size_t pos = 0;
+    while (pos < content.size()) {
+      const size_t nl = content.find('\n', pos);
+      if (nl > pos) {
+        ++records;
+        ProcessRow(content.substr(pos, nl - pos), scan, ctx);
       }
+      pos = nl + 1;
+    }
+    if (!straddle.empty()) {
+      ++records;
+      ProcessRow(straddle, scan, ctx);
     }
     ctx->records_seen += records;
 

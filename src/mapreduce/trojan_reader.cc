@@ -155,8 +155,7 @@ class TrojanRecordReader : public RecordReader {
       HAIL_ASSIGN_OR_RETURN(std::vector<Value> row, rows.DecodeRowAt(&pos));
       if (filter != nullptr && !filter->MatchesRow(row)) continue;
       ++qualifying;
-      InvokeMap(*ctx, HailRecord::FullRow(std::move(row)),
-                /*already_filtered=*/true);
+      InvokeMap(*ctx, HailRecord::FullRow(std::move(row)));
     }
     ctx->records_seen += end_row - first_row;
     ctx->records_qualifying += qualifying;

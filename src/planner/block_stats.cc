@@ -70,7 +70,7 @@ void Summarize(std::vector<T> sorted, uint32_t buckets, FieldType type,
   out->bucket_bounds.reserve(buckets);
   for (uint32_t b = 0; b < buckets; ++b) {
     const size_t idx = ((static_cast<size_t>(b) + 1) * n) / buckets;
-    out->bucket_bounds.push_back(Value(sorted[idx == 0 ? 0 : idx - 1]));
+    out->bucket_bounds.emplace_back(sorted[idx == 0 ? 0 : idx - 1]);
   }
   (void)type;
 }

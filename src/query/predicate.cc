@@ -114,7 +114,8 @@ std::string Predicate::ToString(const Schema& schema) const {
   for (size_t i = 0; i < terms_.size(); ++i) {
     if (i > 0) out += " and ";
     const PredicateTerm& t = terms_[i];
-    out += "@" + std::to_string(t.column + 1);
+    out += '@';
+    out += std::to_string(t.column + 1);
     const FieldType type = schema.field(t.column).type;
     switch (t.op) {
       case CompareOp::kEq:

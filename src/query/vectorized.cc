@@ -640,4 +640,32 @@ bool CompiledPredicate::MatchesRow(const std::vector<Value>& row) const {
   return true;
 }
 
+bool CompiledPredicate::MatchesFields(
+    const std::vector<FieldScalar>& fields) const {
+  for (const CompiledTerm& term : terms_) {
+    const FieldScalar& f = fields[static_cast<size_t>(term.column)];
+    int cmp = 0;
+    switch (term.kind) {
+      case Kind::kString:
+        cmp = ThreeWayCompareStrings(f.s, term.lit_s);
+        break;
+      case Kind::kI32VsI64:
+      case Kind::kI64VsI64:
+        cmp = f.i < term.lit_i ? -1 : (f.i == term.lit_i ? 0 : 1);
+        break;
+      case Kind::kI32VsF64:
+      case Kind::kI64VsF64: {
+        const double w = static_cast<double>(f.i);
+        cmp = w < term.lit_d ? -1 : (w == term.lit_d ? 0 : 1);
+        break;
+      }
+      case Kind::kF64:
+        cmp = f.d < term.lit_d ? -1 : (f.d == term.lit_d ? 0 : 1);
+        break;
+    }
+    if (!OpMatchesCompare(cmp, term.op)) return false;
+  }
+  return true;
+}
+
 }  // namespace hail

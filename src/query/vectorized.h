@@ -32,6 +32,7 @@
 
 #include "layout/pax_block.h"
 #include "query/predicate.h"
+#include "schema/row_parser.h"
 #include "schema/schema.h"
 #include "util/result.h"
 
@@ -91,10 +92,16 @@ class CompiledPredicate {
   Status RefineCandidates(const PaxBlockView& view, SelectionVector* sel) const;
 
   /// Row-wise evaluation with literal typing resolved at compile time.
-  /// Used by the row-major readers (text, trojan). Equivalent to
+  /// Used by the trojan reader on decoded rows. Equivalent to
   /// Predicate::Matches for rows whose value types match the schema; rows
   /// with mismatched types are rejected instead of throwing.
   bool MatchesRow(const std::vector<Value>& row) const;
+
+  /// Row-wise evaluation on one text row's walked fields (see WalkFields),
+  /// indexed by schema column, without boxing them into Values. Used by
+  /// the text reader to filter before it builds a row. Same result as
+  /// MatchesRow on the row RowParser::Parse would produce.
+  bool MatchesFields(const std::vector<FieldScalar>& fields) const;
 
  private:
   /// How a term's column/literal pair compares, resolved once per block

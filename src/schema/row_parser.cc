@@ -2,63 +2,16 @@
 
 #include <cassert>
 
-#include "util/string_util.h"
-
 namespace hail {
 
 ParsedRow RowParser::Parse(std::string_view row) const {
   ParsedRow out;
-  const auto parts = SplitString(row, schema_.delimiter());
-  if (static_cast<int>(parts.size()) != schema_.num_fields()) {
-    return out;  // wrong arity -> bad record
-  }
-  out.values.reserve(parts.size());
-  for (int i = 0; i < schema_.num_fields(); ++i) {
-    const std::string_view text = parts[static_cast<size_t>(i)];
-    switch (schema_.field(i).type) {
-      case FieldType::kInt32: {
-        auto v = ParseInt64(text);
-        if (!v.ok() || *v < INT32_MIN || *v > INT32_MAX) {
-          out.values.clear();
-          return out;
-        }
-        out.values.emplace_back(static_cast<int32_t>(*v));
-        break;
-      }
-      case FieldType::kInt64: {
-        auto v = ParseInt64(text);
-        if (!v.ok()) {
-          out.values.clear();
-          return out;
-        }
-        out.values.emplace_back(*v);
-        break;
-      }
-      case FieldType::kDouble: {
-        auto v = ParseDouble(text);
-        if (!v.ok()) {
-          out.values.clear();
-          return out;
-        }
-        out.values.emplace_back(*v);
-        break;
-      }
-      case FieldType::kString: {
-        out.values.emplace_back(std::string(text));
-        break;
-      }
-      case FieldType::kDate: {
-        auto v = ParseDateToDays(text);
-        if (!v.ok()) {
-          out.values.clear();
-          return out;
-        }
-        out.values.emplace_back(*v);
-        break;
-      }
-    }
-  }
-  out.ok = true;
+  out.values.reserve(static_cast<size_t>(schema_.num_fields()));
+  out.ok = WalkFields(schema_, row,
+                      [&](int, FieldType type, const FieldScalar& f) {
+                        out.values.push_back(BoxField(type, f));
+                      });
+  if (!out.ok) out.values.clear();
   return out;
 }
 
@@ -78,62 +31,34 @@ ColumnarAppender::ColumnarAppender(const Schema& schema,
 }
 
 bool ColumnarAppender::AppendRow(std::string_view row) {
-  const int num_fields = schema_->num_fields();
-  const char delimiter = schema_->delimiter();
+  std::vector<ColumnVector>& columns = *columns_;
   // All columns are kept at equal length; remember it so a bad row can
   // roll back every partial append. Truncate is a no-op on columns the
   // row never reached.
-  const size_t base = columns_->empty() ? 0 : (*columns_)[0].size();
-  const auto bad_row = [&] {
-    for (ColumnVector& col : *columns_) col.Truncate(base);
-    return false;
-  };
-  size_t start = 0;
-  for (int i = 0; i < num_fields; ++i) {
-    std::string_view text;
-    if (i + 1 < num_fields) {
-      const size_t pos = row.find(delimiter, start);
-      if (pos == std::string_view::npos) return bad_row();  // too few fields
-      text = row.substr(start, pos - start);
-      start = pos + 1;
-    } else {
-      text = row.substr(start);
-      if (text.find(delimiter) != std::string_view::npos) {
-        return bad_row();  // too many fields
-      }
-    }
-    ColumnVector& col = (*columns_)[static_cast<size_t>(i)];
-    switch (schema_->field(i).type) {
-      case FieldType::kInt32: {
-        auto v = ParseInt64(text);
-        if (!v.ok() || *v < INT32_MIN || *v > INT32_MAX) return bad_row();
-        col.AppendInt32(static_cast<int32_t>(*v));
-        break;
-      }
-      case FieldType::kInt64: {
-        auto v = ParseInt64(text);
-        if (!v.ok()) return bad_row();
-        col.AppendInt64(*v);
-        break;
-      }
-      case FieldType::kDouble: {
-        auto v = ParseDouble(text);
-        if (!v.ok()) return bad_row();
-        col.AppendDouble(*v);
-        break;
-      }
-      case FieldType::kString:
-        col.AppendString(text);
-        break;
-      case FieldType::kDate: {
-        auto v = ParseDateToDays(text);
-        if (!v.ok()) return bad_row();
-        col.AppendInt32(*v);
-        break;
-      }
-    }
+  const size_t base = columns.empty() ? 0 : columns[0].size();
+  const bool ok = WalkFields(
+      *schema_, row, [&](int i, FieldType type, const FieldScalar& f) {
+        ColumnVector& col = columns[static_cast<size_t>(i)];
+        switch (type) {
+          case FieldType::kInt32:
+          case FieldType::kDate:
+            col.AppendInt32(static_cast<int32_t>(f.i));
+            break;
+          case FieldType::kInt64:
+            col.AppendInt64(f.i);
+            break;
+          case FieldType::kDouble:
+            col.AppendDouble(f.d);
+            break;
+          case FieldType::kString:
+            col.AppendString(f.s);
+            break;
+        }
+      });
+  if (!ok) {
+    for (ColumnVector& col : columns) col.Truncate(base);
   }
-  return true;
+  return ok;
 }
 
 std::vector<std::string_view> SplitRows(std::string_view data) {

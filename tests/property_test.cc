@@ -32,7 +32,9 @@ Schema RandomSchema(Random* rng) {
     const FieldType types[] = {FieldType::kInt32, FieldType::kInt64,
                                FieldType::kDouble, FieldType::kString,
                                FieldType::kDate};
-    fields.push_back(Field{"c" + std::to_string(i),
+    std::string name = "c";
+    name += std::to_string(i);
+    fields.push_back(Field{std::move(name),
                            types[rng->Uniform(std::size(types))]});
   }
   return Schema(std::move(fields));

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "schema/row_parser.h"
 #include "schema/schema.h"
 #include "schema/value.h"
+#include "util/random.h"
+#include "workload/uservisits.h"
 
 namespace hail {
 namespace {
@@ -133,6 +140,136 @@ TEST(SplitRowsTest, HandlesTrailingNewline) {
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[2], "c");
   EXPECT_TRUE(SplitRows("").empty());
+}
+
+/// One random edit of a text row: character-level damage, a whole field
+/// replaced by an edge-case token, or a field added or dropped.
+std::string MutateRow(std::string row, Random* rng) {
+  static const char kAlphabet[] = "0123456789,-.eE+x :";
+  static const char* kTokens[] = {
+      "",           "-",          "2147483647", "2147483648", "-2147483648",
+      "-2147483649", "1e308",     "1e999",      "nan",        "inf",
+      "0x10",       "+5",         " 5",         "5 ",         "1999-02-29",
+      "2000-02-29", "1999-13-01", "99-01-01",   "1999-1-01",  "3.5.1",
+      "0.0",        "-0",         "4e-320"};
+  const auto pick_char = [&] {
+    return kAlphabet[rng->Uniform(sizeof(kAlphabet) - 1)];
+  };
+  switch (rng->Uniform(6)) {
+    case 0:  // overwrite one character
+      if (!row.empty()) row[rng->Uniform(row.size())] = pick_char();
+      break;
+    case 1:  // delete one character
+      if (!row.empty()) row.erase(rng->Uniform(row.size()), 1);
+      break;
+    case 2:  // insert one character
+      row.insert(rng->Uniform(row.size() + 1), 1, pick_char());
+      break;
+    case 3:  // truncate
+      row.resize(rng->Uniform(row.size() + 1));
+      break;
+    case 4: {  // replace one field with an edge-case token
+      std::vector<std::string> fields;
+      for (std::string_view f : SplitString(row, ',')) fields.emplace_back(f);
+      fields[rng->Uniform(fields.size())] =
+          kTokens[rng->Uniform(std::size(kTokens))];
+      row.clear();
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (i > 0) row += ',';
+        row += fields[i];
+      }
+      break;
+    }
+    default:  // one field too many or too few
+      if (rng->Uniform(2) == 0) {
+        row += ",7";
+      } else {
+        const size_t comma = row.rfind(',');
+        if (comma != std::string::npos) row.resize(comma);
+      }
+      break;
+  }
+  return row;
+}
+
+/// Bitwise value identity (NaN equals NaN, -0.0 differs from 0.0).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double()) {
+    return std::bit_cast<uint64_t>(a.as_double()) ==
+           std::bit_cast<uint64_t>(b.as_double());
+  }
+  return a == b;
+}
+
+/// The typed value \p col holds at \p row, boxed like RowParser::Parse.
+Value ColumnValue(const ColumnVector& col, size_t row) {
+  switch (col.type()) {
+    case FieldType::kInt32:
+    case FieldType::kDate:
+      return Value(col.i32()[row]);
+    case FieldType::kInt64:
+      return Value(col.i64()[row]);
+    case FieldType::kDouble:
+      return Value(col.f64()[row]);
+    case FieldType::kString:
+      return Value(col.str()[row]);
+  }
+  return Value();
+}
+
+// RowParser::Parse and ColumnarAppender::AppendRow share one field walker:
+// on seeded random and mutated UserVisits rows they accept exactly the same
+// rows with identical typed values, and a rejected row leaves every column
+// as it was.
+TEST(FieldWalkerPropertyTest, ParseAndAppendRowAgree) {
+  const Schema schema = workload::UserVisitsSchema();
+  const RowParser parser(schema);
+  uint64_t accepted_total = 0;
+  uint64_t rejected_total = 0;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    workload::UserVisitsConfig uv;
+    uv.rows = 200;
+    uv.seed = seed;
+    const std::string text = workload::GenerateUserVisitsText(uv);
+    Random rng(seed * 7919);
+    std::vector<ColumnVector> columns;
+    for (const Field& f : schema.fields()) columns.emplace_back(f.type);
+    ColumnarAppender appender(schema, &columns);
+    std::vector<std::vector<Value>> accepted;
+    for (std::string_view source : SplitRows(text)) {
+      std::vector<std::string> candidates = {std::string(source)};
+      for (int m = 0; m < 4; ++m) {
+        std::string mutated = MutateRow(std::string(source), &rng);
+        if (m % 2 == 1) mutated = MutateRow(std::move(mutated), &rng);
+        candidates.push_back(std::move(mutated));
+      }
+      for (const std::string& row : candidates) {
+        const ParsedRow parsed = parser.Parse(row);
+        const bool appended = appender.AppendRow(row);
+        ASSERT_EQ(parsed.ok, appended) << "row: " << row;
+        if (parsed.ok) {
+          ASSERT_EQ(parsed.values.size(), columns.size());
+          accepted.push_back(parsed.values);
+          ++accepted_total;
+        } else {
+          EXPECT_TRUE(parsed.values.empty());
+          ++rejected_total;
+        }
+        for (const ColumnVector& col : columns) {
+          ASSERT_EQ(col.size(), accepted.size()) << "row: " << row;
+        }
+      }
+    }
+    for (size_t r = 0; r < accepted.size(); ++r) {
+      for (size_t c = 0; c < columns.size(); ++c) {
+        ASSERT_TRUE(SameValue(ColumnValue(columns[c], r), accepted[r][c]))
+            << "seed " << seed << " row " << r << " column " << c;
+      }
+    }
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(accepted_total, 1500u);
+  EXPECT_GT(rejected_total, 1000u);
 }
 
 }  // namespace
