@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -14,7 +15,9 @@
 #include "adaptive/adaptive_manager.h"
 #include "adaptive/reorg.h"
 #include "hail/re_replication.h"
+#include "mapreduce/input_format.h"
 #include "mapreduce/pending_index.h"
+#include "mapreduce/record_reader.h"
 #include "obs/metrics.h"
 #include "planner/plan_cache.h"
 #include "util/thread_pool.h"
@@ -323,71 +326,44 @@ struct SessionEngine {
 
   /// Span tracing (obs/trace.h). All tracer mutation happens on the event
   /// thread inside event callbacks, and only while the session is healthy:
-  /// after a fatal error serial drains the remaining events as no-ops
-  /// while parallel discards unjoined reads, so appending past that
-  /// instant would diverge between the modes. The guard keeps the span
-  /// append order — and hence span ids — bit-identical.
+  /// after a fatal error the loop drains the remaining events as no-ops,
+  /// and those include the completions of reads that ran inline (serial)
+  /// but are discarded unjoined on the pool (parallel), so appending past
+  /// that instant would diverge between the modes. The guard keeps the
+  /// span append order — and hence span ids — bit-identical.
   obs::Tracer* tracer = nullptr;
   uint64_t session_span = 0;
   bool tracing() const { return tracer != nullptr && first_error.ok(); }
 
-  /// Effective fault schedule: options->fault_plan plus the legacy
-  /// kill_node knob merged in at Run time.
-  sim::FaultPlan plan;
-  std::vector<char> kill_fired;  // one flag per plan.kills entry
+  /// One flag per options->fault_plan.kills entry.
+  std::vector<char> kill_fired;
 
-  // ---- fair-share accounting (indexed like scheduler.queues()) ----
-  std::vector<QueueUsage> usage;
-  uint64_t maint_while_fg_pending = 0;
+  /// The session's counters and per-queue usage (indexed like
+  /// scheduler.queues()), bumped in place; Run fills in the rest and
+  /// returns it.
+  SessionResult result;
 
   // ---- background maintenance (adaptive replica reorganization) ----
   std::vector<MaintState> maint;
   /// Per-node FIFO of maint indexes (a rewrite runs on the datanode that
   /// holds the replica).
   std::vector<std::deque<size_t>> maint_by_node;
-  uint32_t maint_completed = 0;
-  uint32_t maint_failed = 0;
-  /// Parallel mode: commits requested by completion events, applied by the
-  /// loop after every in-flight read has drained (reads assigned before
-  /// the commit must observe — and may be concurrently reading — the
-  /// pre-rewrite bytes).
-  std::vector<size_t> pending_commits;
 
   // ---- self-healing re-replication (options->self_heal) ----
   std::vector<RepairState> repairs;
   /// Per-target-node FIFO of repair indexes.
   std::vector<std::deque<size_t>> repairs_by_node;
-  uint32_t repairs_completed = 0;
-  uint32_t repairs_abandoned = 0;
-  /// Parallel mode: repair commits deferred exactly like reorg commits.
-  std::vector<size_t> pending_repair_commits;
 
-  // ---- retry / speculation counters ----
-  uint32_t task_retries = 0;
-  uint32_t spec_attempts = 0;
-  uint32_t spec_wins = 0;
-
-  // ---- overload hardening ----
-  uint32_t preemptions = 0;
-  double preempted_slot_seconds = 0.0;
-  uint32_t jobs_shed = 0;
-  uint32_t replicas_added = 0;
-  uint32_t replicas_evicted = 0;
-
-  // ---- cost-based planning (options->plan_cache / spec.use_planner) ----
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_invalidations = 0;  // this session's share
-  uint32_t jobs_planned = 0;
-  uint32_t stats_backfilled = 0;  // kBuildStats maintenance commits
-
-  // ---- parallel engine state (unused in serial mode) ----
-  bool parallel = false;
+  // ---- map-task reads and deferred DFS mutations ----
+  /// Worker pool for map-task reads; nullptr runs them inline on the
+  /// event thread (ExecutionMode::kSerial). The only thing the execution
+  /// mode decides.
   ThreadPool* pool = nullptr;
-  /// One dispatched-but-not-joined functional read. `seq` is the
-  /// completion event's reserved FIFO slot; `earliest_completion` the
-  /// soonest simulated instant the task can complete (cost >= 0), which
-  /// bounds how far the event loop may run before joining.
+  /// One dispatched map-task read. `seq` is the completion event's FIFO
+  /// slot, reserved at assignment in both modes; `earliest_completion`
+  /// the soonest simulated instant the task can complete (cost >= 0),
+  /// which bounds how far the event loop may run before joining a pool
+  /// read.
   struct InFlight {
     int job = -1;
     size_t task_id = 0;
@@ -396,34 +372,16 @@ struct SessionEngine {
     sim::SimTime assign_time = 0.0;
     sim::SimTime earliest_completion = 0.0;
     uint64_t seq = 0;
-    std::future<ReadOutcome> future;
+    std::future<ReadOutcome> future;  // pool reads only
   };
-  std::deque<InFlight> inflight;  // assignment (= reserved seq) order
-  /// Fault injection (kill/revive/corrupt), bad-replica reports and upload
-  /// execution all mutate shared DFS state; requested inside events,
-  /// applied by the loop *after* the event returns and every in-flight
-  /// read has joined (reads assigned before the mutation must observe
-  /// pre-mutation state, both for serial-equivalence and because pool
-  /// threads read it concurrently).
-  struct PendingFault {
-    enum class Kind { kKill, kRevive, kCorrupt };
-    Kind kind = Kind::kKill;
-    int node = -1;
-    double revive_after = -1.0;  // kKill
-    int nth_block = 0;           // kCorrupt
-    /// kKill: the failure-detection event's reserved FIFO slot (identical
-    /// tie-break rank to serial, which schedules it inline).
-    uint64_t seq = 0;
-  };
-  std::vector<PendingFault> pending_faults;
-  std::vector<BadReplicaReport> pending_bad_reports;
-  struct PendingUpload {
-    int job = -1;
-    size_t task_id = 0;
-    int node = -1;
-    uint64_t seq = 0;
-  };
-  std::vector<PendingUpload> pending_uploads;
+  std::deque<InFlight> inflight;  // pool reads, assignment (= seq) order
+  /// Shared-DFS mutations (upload execution, reorg/repair commits,
+  /// bad-replica reports, kill/revive/corrupt) requested inside an event.
+  /// The loop applies them in request order *after* the event returns and
+  /// every in-flight read has joined: reads assigned before a mutation
+  /// observe pre-mutation state (pool threads may be reading it
+  /// concurrently), in both execution modes alike.
+  std::deque<std::function<void()>> dfs_mutations;
 
   const sim::CostConstants& constants() const {
     return dfs->cluster().constants();
@@ -460,35 +418,27 @@ struct SessionEngine {
   void TrySpeculate(int node, int* assigned);
   void DispatchRead(int j, size_t task_id, int attempt, int node);
   void AssignUpload(int j, size_t task_id, int node);
-  void ExecuteUpload(int j, size_t task_id, int node,
-                     const uint64_t* reserved_seq);
+  void ExecuteUpload(int j, size_t task_id, int node, uint64_t seq);
   void AssignMaintenance(size_t mid, int node);
   void OnMaintenanceComplete(size_t mid, int node);
   void CommitMaintenance(size_t mid);
-  // Fault plan execution (Request* defers to the parallel loop's
-  // post-drain mutation window; serial applies inline).
-  void RequestKill(int victim, double revive_after);
-  void ApplyKill(int victim, double revive_after,
-                 const uint64_t* reserved_seq);
-  void RequestRevive(int node);
+  // Fault plan execution; callers defer these through dfs_mutations
+  // (session-start corruptions apply before the loop starts).
+  void ApplyKill(int victim, double revive_after, uint64_t detect_seq);
   void ApplyRevive(int node);
-  void RequestCorrupt(int node, int nth_block);
   void ApplyCorrupt(int node, int nth_block);
-  void ApplyBadReplicaReports(const std::vector<BadReplicaReport>& reports);
   // Self-healing re-replication.
   void IngestRepairs();
   enum class RepairAssign { kAssigned, kSkipped, kStall };
   RepairAssign AssignRepair(size_t rid, int node);
   void OnRepairComplete(size_t rid, int node);
-  void CommitRepairInline(size_t rid);
+  void CommitRepairTask(size_t rid);
   void RetargetRepair(size_t rid);
   ReadOutcome ExecuteRead(int j, RecordReader* rdr, const InputSplit& split,
                           int node) const;
-  void FinishRead(int j, size_t task_id, int attempt, int node,
-                  sim::SimTime assign_time, ReadOutcome outcome,
-                  const uint64_t* reserved_seq);
+  void FinishRead(const InFlight& read, ReadOutcome outcome);
   void JoinOldest();
-  void RunParallelLoop();
+  void RunLoop();
   void AccountUsage(int j, const TaskState& task, double slot_seconds);
   JobResult AssembleResult(const JobExec& job) const;
 };
@@ -523,12 +473,12 @@ void SessionEngine::AdmitJob(int j) {
       const uint64_t inval_before =
           options->plan_cache->stats().invalidations;
       const JobPlan* cached = options->plan_cache->Lookup(key, generation);
-      plan_cache_invalidations +=
+      result.plan_cache_invalidations +=
           options->plan_cache->stats().invalidations - inval_before;
       if (cached != nullptr) {
         job.plan = *cached;
         cache_hit = true;
-        ++plan_cache_hits;
+        ++result.plan_cache_hits;
       } else {
         Result<JobPlan> plan = ComputeJobPlan(dfs, sub.spec);
         if (!plan.ok()) {
@@ -537,7 +487,7 @@ void SessionEngine::AdmitJob(int j) {
         }
         job.plan = std::move(*plan);
         options->plan_cache->Insert(key, generation, job.plan);
-        ++plan_cache_misses;
+        ++result.plan_cache_misses;
       }
     } else {
       Result<JobPlan> plan = ComputeJobPlan(dfs, sub.spec);
@@ -547,7 +497,7 @@ void SessionEngine::AdmitJob(int j) {
       }
       job.plan = std::move(*plan);
     }
-    if (job.plan.planned) ++jobs_planned;
+    if (job.plan.planned) ++result.jobs_planned;
     if (job.plan.splits.empty()) {
       FailJob(j, Status::InvalidArgument("job '" + sub.spec.name +
                                          "' has no input"));
@@ -619,7 +569,7 @@ bool SessionEngine::ShedIfOverloaded(int j) {
   // slots its fair-share weight entitles it to. Needs one completed task.
   if (ac.shed_wait_s > 0.0) {
     const int q = scheduler.queue_of(j);
-    const QueueUsage& u = usage[static_cast<size_t>(q)];
+    const QueueUsage& u = result.queues[static_cast<size_t>(q)];
     // The legacy estimator needs one completed task for its observed mean;
     // the planner-fed estimator (options->admission_from_planner) can
     // project from predicted job costs before anything completed.
@@ -704,8 +654,8 @@ void SessionEngine::FailJob(int j, Status st) {
   job.phase = JobExec::Phase::kFailed;
   job.finish_time = events.Now();  // failed tenants still count for makespan
   if (st.IsOverloaded()) {
-    ++jobs_shed;
-    ++usage[static_cast<size_t>(scheduler.queue_of(j))].jobs_shed;
+    ++result.jobs_shed;
+    ++result.queues[static_cast<size_t>(scheduler.queue_of(j))].jobs_shed;
   }
   if (tracing() && job.span != 0) {
     tracer->Attr(job.span, "error", st.message());
@@ -728,9 +678,9 @@ void SessionEngine::JobDone(int j) {
   if (tracing() && job.span != 0) tracer->SetEnd(job.span, job.finish_time);
   if (options->online_adaptation && options->adaptive != nullptr &&
       job.submitted->kind == ClusterSession::Submitted::Kind::kQuery) {
-    // Deferred to its own event: at an event boundary both execution
-    // modes have applied every pending shared-DFS mutation, so the
-    // observe/plan round reads identical state serial and parallel.
+    // Deferred to its own event: at an event boundary every shared-DFS
+    // mutation requested so far has applied, so the observe/plan round
+    // reads the post-commit state in both execution modes.
     events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                          [this, j] { ObserveOnline(j); });
   }
@@ -859,10 +809,10 @@ void SessionEngine::Heartbeat(int node) {
     if (job.submitted->kind == ClusterSession::Submitted::Kind::kUpload) {
       AssignUpload(j, *pick, node);
       ++assigned;
-      // An ingest launch consumes the rest of this beat: nothing else may
-      // be assigned in the same event, so DFS state visible to later
-      // assignments is identical whether the upload executed inline
-      // (serial) or deferred until in-flight reads drained (parallel).
+      // An ingest launch consumes the rest of this beat: nothing else is
+      // assigned in the same event, so no read or maintenance rewrite is
+      // prepared against DFS state that the upload, applied right after
+      // the event, is about to change.
       upload_assigned = true;
       break;
     }
@@ -1005,11 +955,11 @@ void SessionEngine::MaybePreempt() {
     tracer->Attr(sp, "node", static_cast<int64_t>(node));
     tracer->Attr(sp, "wasted_slot_seconds", wasted);
   }
-  QueueUsage& u = usage[static_cast<size_t>(victim_q)];
+  QueueUsage& u = result.queues[static_cast<size_t>(victim_q)];
   ++u.preemptions;
   u.preempted_slot_seconds += wasted;
-  ++preemptions;
-  preempted_slot_seconds += wasted;
+  ++result.preemptions;
+  result.preempted_slot_seconds += wasted;
   // The freed slot goes to whoever the policy now favors (the starved
   // queue, by construction) on the next beat.
   events.ScheduleAfter(constants().oob_heartbeat_latency_s,
@@ -1049,18 +999,18 @@ void SessionEngine::AssignMaintenance(size_t mid, int node) {
   if (foreground_pending > 0) {
     // Strict low priority is an invariant, not a hope: record violations
     // (tests pin this at zero) instead of silently absorbing them.
-    ++maint_while_fg_pending;
+    ++result.maintenance_while_foreground_pending;
   }
   MaintState& m = maint[mid];
   // The rewrite is computed against the DFS state at assignment time (the
-  // same instant serial execution would read it); the mutation waits for
-  // the completion event.
+  // state reads assigned in the same event observe); the mutation waits
+  // for the completion event.
   Result<adaptive::PreparedReorg> prep = adaptive::PrepareReorg(*dfs, m.task);
   if (!prep.ok()) {
     // A broken task (replica gone, wrong layout) is dropped, not retried;
     // it must not wedge the queue.
     m.status = MaintState::Status::kFailed;
-    ++maint_failed;
+    ++result.maintenance_failed;
     return;
   }
   m.status = MaintState::Status::kRunning;
@@ -1098,11 +1048,7 @@ void SessionEngine::OnMaintenanceComplete(size_t mid, int node) {
     tracer->Attr(sp, "column", static_cast<int64_t>(m.task.column));
     tracer->Attr(sp, "node", static_cast<int64_t>(node));
   }
-  if (parallel) {
-    pending_commits.push_back(mid);
-  } else {
-    CommitMaintenance(mid);
-  }
+  dfs_mutations.push_back([this, mid] { CommitMaintenance(mid); });
   // The freed slot asks for more work (maintenance or requeued foreground).
   events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                        [this, node] { Heartbeat(node); });
@@ -1114,17 +1060,17 @@ void SessionEngine::CommitMaintenance(size_t mid) {
   m.prepared.reset();
   if (st.ok()) {
     m.status = MaintState::Status::kCommitted;
-    ++maint_completed;
+    ++result.maintenance_completed;
     if (m.task.kind == adaptive::MaintenanceTask::Kind::kAddReplica) {
-      ++replicas_added;
+      ++result.replicas_added;
     } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kEvictReplica) {
-      ++replicas_evicted;
+      ++result.replicas_evicted;
     } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kBuildStats) {
-      ++stats_backfilled;
+      ++result.stats_backfilled;
     }
   } else {
     m.status = MaintState::Status::kFailed;
-    ++maint_failed;
+    ++result.maintenance_failed;
   }
 }
 
@@ -1135,7 +1081,7 @@ void SessionEngine::IngestRepairs() {
   for (hdfs::UnderReplicatedEntry& e : lost) {
     if (!RepairStillNeeded(*dfs, e)) {
       dfs->namenode().AbandonRepair(e);
-      ++repairs_abandoned;
+      ++result.repairs_abandoned;
       continue;
     }
     RepairState r;
@@ -1163,14 +1109,14 @@ SessionEngine::RepairAssign SessionEngine::AssignRepair(size_t rid,
   if (foreground_pending > 0) {
     // Same strict-background invariant as adaptive maintenance: record
     // violations (tests pin this at zero), never absorb them silently.
-    ++maint_while_fg_pending;
+    ++result.maintenance_while_foreground_pending;
   }
   if (!RepairStillNeeded(*dfs, r.entry)) {
     // The lost node revived with its replica intact (or the file is
     // gone): nothing is missing anymore.
     dfs->namenode().AbandonRepair(r.entry);
     r.status = RepairState::Status::kDropped;
-    ++repairs_abandoned;
+    ++result.repairs_abandoned;
     return RepairAssign::kSkipped;
   }
   Result<PreparedRepair> prep = PrepareRepair(*dfs, r.entry, node);
@@ -1183,13 +1129,14 @@ SessionEngine::RepairAssign SessionEngine::AssignRepair(size_t rid,
     }
     dfs->namenode().AbandonRepair(r.entry);
     r.status = RepairState::Status::kDropped;
-    ++repairs_abandoned;
+    ++result.repairs_abandoned;
     return RepairAssign::kSkipped;
   }
   r.status = RepairState::Status::kRunning;
   r.prepared.emplace(std::move(*prep));
   free_slots[static_cast<size_t>(node)] -= 1;
-  const double duration = r.prepared->seconds * plan.slow_factor(node);
+  const double duration =
+      r.prepared->seconds * options->fault_plan.slow_factor(node);
   events.ScheduleAfter(duration,
                        [this, rid, node] { OnRepairComplete(rid, node); });
   return RepairAssign::kAssigned;
@@ -1215,7 +1162,8 @@ void SessionEngine::OnRepairComplete(size_t rid, int node) {
   }
   free_slots[static_cast<size_t>(node)] += 1;
   if (tracing()) {
-    const double duration = r.prepared->seconds * plan.slow_factor(node);
+    const double duration =
+      r.prepared->seconds * options->fault_plan.slow_factor(node);
     const uint64_t sp =
         tracer->AddSpan("repair", "repair", events.Now() - duration, duration,
                         session_span, /*lane=*/node);
@@ -1224,26 +1172,22 @@ void SessionEngine::OnRepairComplete(size_t rid, int node) {
                  static_cast<int64_t>(r.entry.lost_datanode));
     tracer->Attr(sp, "target", static_cast<int64_t>(node));
   }
-  if (parallel) {
-    pending_repair_commits.push_back(rid);
-  } else {
-    CommitRepairInline(rid);
-  }
+  dfs_mutations.push_back([this, rid] { CommitRepairTask(rid); });
   events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                        [this, node] { Heartbeat(node); });
 }
 
-void SessionEngine::CommitRepairInline(size_t rid) {
+void SessionEngine::CommitRepairTask(size_t rid) {
   RepairState& r = repairs[rid];
   Status st = CommitRepair(dfs, r.entry, r.target, std::move(*r.prepared));
   r.prepared.reset();
   if (st.ok()) {
     r.status = RepairState::Status::kCommitted;
-    ++repairs_completed;
+    ++result.repairs_completed;
     return;
   }
-  // The target vanished between completion and commit (parallel mode's
-  // drain window): place the replica somewhere else.
+  // The target vanished between completion and commit (the same event's
+  // mutations ran first): place the replica somewhere else.
   r.status = RepairState::Status::kQueued;
   r.target = -1;
   RetargetRepair(rid);
@@ -1262,50 +1206,24 @@ void SessionEngine::RetargetRepair(size_t rid) {
   }
 }
 
-void SessionEngine::RequestKill(int victim, double revive_after) {
-  if (!parallel) {
-    ApplyKill(victim, revive_after, /*reserved_seq=*/nullptr);
-    return;
-  }
-  PendingFault f;
-  f.kind = PendingFault::Kind::kKill;
-  f.node = victim;
-  f.revive_after = revive_after;
-  f.seq = events.ReserveSeq();
-  pending_faults.push_back(f);
-}
-
 void SessionEngine::ApplyKill(int victim, double revive_after,
-                              const uint64_t* reserved_seq) {
+                              uint64_t detect_seq) {
   if (victim < 0 || victim >= dfs->cluster().num_nodes()) return;
   if (!dfs->cluster().node(victim).alive()) return;
   dfs->KillNode(victim, events.Now());
-  auto detect = [this, victim] { OnFailureDetected(victim); };
-  if (reserved_seq != nullptr) {
-    events.ScheduleAtReserved(*reserved_seq,
-                              events.Now() + constants().expiry_interval_s,
-                              std::move(detect));
-  } else {
-    events.ScheduleAfter(constants().expiry_interval_s, std::move(detect));
-  }
+  // The detection event ranks at the kill request, reserved by the caller.
+  events.ScheduleAtReserved(detect_seq,
+                            events.Now() + constants().expiry_interval_s,
+                            [this, victim] { OnFailureDetected(victim); });
   if (revive_after >= 0.0) {
     // Never revive before the failure detection fired — the detector's
     // requeue/repair bookkeeping assumes the node stayed dead until then.
     const double delay =
         std::max(revive_after, constants().expiry_interval_s + 1.0);
-    events.ScheduleAfter(delay, [this, victim] { RequestRevive(victim); });
+    events.ScheduleAfter(delay, [this, victim] {
+      dfs_mutations.push_back([this, victim] { ApplyRevive(victim); });
+    });
   }
-}
-
-void SessionEngine::RequestRevive(int node) {
-  if (!parallel) {
-    ApplyRevive(node);
-    return;
-  }
-  PendingFault f;
-  f.kind = PendingFault::Kind::kRevive;
-  f.node = node;
-  pending_faults.push_back(f);
 }
 
 void SessionEngine::ApplyRevive(int node) {
@@ -1336,18 +1254,6 @@ void SessionEngine::ApplyRevive(int node) {
   }
 }
 
-void SessionEngine::RequestCorrupt(int node, int nth_block) {
-  if (!parallel) {
-    ApplyCorrupt(node, nth_block);
-    return;
-  }
-  PendingFault f;
-  f.kind = PendingFault::Kind::kCorrupt;
-  f.node = node;
-  f.nth_block = nth_block;
-  pending_faults.push_back(f);
-}
-
 void SessionEngine::ApplyCorrupt(int node, int nth_block) {
   if (node < 0 || node >= dfs->cluster().num_nodes() || nth_block < 0) return;
   // "nth block of node i" resolves against the namenode's block-id-ordered
@@ -1356,20 +1262,6 @@ void SessionEngine::ApplyCorrupt(int node, int nth_block) {
   if (blocks.empty()) return;
   const uint64_t block = blocks[static_cast<size_t>(nth_block) % blocks.size()];
   (void)dfs->InjectCorruption(node, block);
-}
-
-void SessionEngine::ApplyBadReplicaReports(
-    const std::vector<BadReplicaReport>& reports) {
-  if (reports.empty()) return;
-  if (parallel) {
-    pending_bad_reports.insert(pending_bad_reports.end(), reports.begin(),
-                               reports.end());
-    return;
-  }
-  for (const BadReplicaReport& r : reports) {
-    (void)dfs->ReportBadReplica(r.block_id, r.datanode);
-  }
-  IngestRepairs();
 }
 
 ReadOutcome SessionEngine::ExecuteRead(int j, RecordReader* rdr,
@@ -1403,9 +1295,7 @@ ReadOutcome SessionEngine::ExecuteRead(int j, RecordReader* rdr,
   return out;
 }
 
-void SessionEngine::FinishRead(int j, size_t task_id, int attempt, int node,
-                               sim::SimTime assign_time, ReadOutcome outcome,
-                               const uint64_t* reserved_seq) {
+void SessionEngine::FinishRead(const InFlight& read, ReadOutcome outcome) {
   // The outcome travels inside the completion event instead of being
   // written into TaskState here: with speculation two attempts of one task
   // can be live at once, and only the completion order decides whose
@@ -1418,19 +1308,16 @@ void SessionEngine::FinishRead(int j, size_t task_id, int attempt, int node,
   double rr = 0.0;
   if (oc->cost.ok()) {
     // Slow nodes stretch the data-access portion of the attempt.
-    const double factor = plan.slow_factor(node);
+    const double factor = options->fault_plan.slow_factor(read.node);
     rr = constants().task_rr_init_ms / 1000.0 + oc->cost->total() * factor;
     duration += oc->cost->total() * factor;
   }
-  auto completion = [this, j, task_id, attempt, node, rr, oc] {
-    OnTaskComplete(j, task_id, attempt, node, rr, oc);
-  };
-  if (reserved_seq != nullptr) {
-    events.ScheduleAtReserved(*reserved_seq, assign_time + duration,
-                              std::move(completion));
-  } else {
-    events.ScheduleAfter(duration, std::move(completion));
-  }
+  events.ScheduleAtReserved(
+      read.seq, read.assign_time + duration,
+      [this, j = read.job, task_id = read.task_id, attempt = read.attempt,
+       node = read.node, rr, oc] {
+        OnTaskComplete(j, task_id, attempt, node, rr, oc);
+      });
 }
 
 void SessionEngine::AssignTask(int j, size_t task_id, int node) {
@@ -1496,7 +1383,7 @@ void SessionEngine::TrySpeculate(int node, int* assigned) {
   task.spec_assign_time = events.Now();
   free_slots[static_cast<size_t>(node)] -= 1;
   scheduler.OnTaskStarted(best_j);
-  ++spec_attempts;
+  ++result.speculative_attempts;
   *assigned += 1;
   DispatchRead(best_j, best_t, task.spec_attempt, node);
 }
@@ -1505,19 +1392,8 @@ void SessionEngine::DispatchRead(int j, size_t task_id, int attempt,
                                  int node) {
   JobExec& job = jobs[static_cast<size_t>(j)];
   const InputSplit* split = job.tasks[task_id].split;
-  if (!parallel) {
-    // Functional read happens now; the simulated duration covers setup +
-    // record reading + cleanup.
-    FinishRead(j, task_id, attempt, node, events.Now(),
-               ExecuteRead(j, job.reader.get(), *split, node),
-               /*reserved_seq=*/nullptr);
-    return;
-  }
-
-  // Parallel: reserve the completion event's FIFO slot here — exactly
-  // where serial would allocate it — and dispatch the read to the pool.
-  // The loop joins the future before the simulation can reach the task's
-  // earliest possible completion instant.
+  // Both modes reserve the completion event's FIFO slot here, at
+  // assignment; only where the read runs differs.
   InFlight f;
   f.job = j;
   f.task_id = task_id;
@@ -1527,6 +1403,16 @@ void SessionEngine::DispatchRead(int j, size_t task_id, int attempt,
   f.earliest_completion =
       f.assign_time + constants().task_setup_s + constants().task_cleanup_s;
   f.seq = events.ReserveSeq();
+  if (pool == nullptr) {
+    // Serial: the read runs now, on the event thread, with the job's
+    // reader, and its completion is scheduled at once.
+    FinishRead(f, ExecuteRead(j, job.reader.get(), *split, node));
+    return;
+  }
+  // Parallel: the read runs on the pool; the loop joins the future before
+  // the simulation can reach the task's earliest possible completion
+  // instant, and scheduling at the reserved (time, seq) key then is
+  // equivalent to scheduling it now.
   const System system = job.submitted->spec.system;
   f.future = pool->Submit([this, j, split, node, system] {
     // Readers are cheap to construct; a private instance per read keeps
@@ -1546,25 +1432,18 @@ void SessionEngine::AssignUpload(int j, size_t task_id, int node) {
   task.assign_time = events.Now();
   free_slots[static_cast<size_t>(node)] -= 1;
   scheduler.OnTaskStarted(j);
-  if (!parallel) {
-    ExecuteUpload(j, task_id, node, /*reserved_seq=*/nullptr);
-    return;
-  }
-  // Uploads mutate shared DFS state: defer execution until the loop has
-  // drained every in-flight pool read (they were assigned pre-mutation and
-  // must observe pre-upload bytes). The completion event's FIFO rank and
-  // the upload's simulated start instant are fixed here, so the deferral
-  // changes nothing simulated.
-  PendingUpload u;
-  u.job = j;
-  u.task_id = task_id;
-  u.node = node;
-  u.seq = events.ReserveSeq();
-  pending_uploads.push_back(u);
+  // Uploads mutate shared DFS state, so they execute with the event's
+  // other mutations, after every in-flight read joined (those were
+  // assigned pre-upload and observe pre-upload bytes). The completion
+  // event's FIFO rank is fixed here and the upload starts at this
+  // event's instant, so the deferral changes nothing simulated.
+  const uint64_t seq = events.ReserveSeq();
+  dfs_mutations.push_back(
+      [this, j, task_id, node, seq] { ExecuteUpload(j, task_id, node, seq); });
 }
 
 void SessionEngine::ExecuteUpload(int j, size_t task_id, int node,
-                                  const uint64_t* reserved_seq) {
+                                  uint64_t seq) {
   JobExec& job = jobs[static_cast<size_t>(j)];
   TaskState& task = job.tasks[task_id];
   const UploadJobSpec& spec = job.submitted->upload;
@@ -1605,34 +1484,29 @@ void SessionEngine::ExecuteUpload(int j, size_t task_id, int node,
   const double duration =
       constants().task_setup_s + task.rr_seconds + constants().task_cleanup_s;
   const int attempt = task.attempt;
-  auto completion = [this, j, task_id, attempt, node] {
-    OnTaskComplete(j, task_id, attempt, node, /*rr_seconds=*/0.0,
-                   /*outcome=*/nullptr);
-  };
-  if (reserved_seq != nullptr) {
-    events.ScheduleAtReserved(*reserved_seq, start + duration,
-                              std::move(completion));
-  } else {
-    events.ScheduleAfter(duration, std::move(completion));
-  }
+  events.ScheduleAtReserved(seq, start + duration,
+                            [this, j, task_id, attempt, node] {
+                              OnTaskComplete(j, task_id, attempt, node,
+                                             /*rr_seconds=*/0.0,
+                                             /*outcome=*/nullptr);
+                            });
 }
 
 void SessionEngine::JoinOldest() {
   InFlight f = std::move(inflight.front());
   inflight.pop_front();
-  FinishRead(f.job, f.task_id, f.attempt, f.node, f.assign_time,
-             f.future.get(), &f.seq);
+  FinishRead(f, f.future.get());
 }
 
 void SessionEngine::AccountUsage(int j, const TaskState& task,
                                  double slot_seconds) {
   // usage was sized to the queue count in Run; queues only register there.
   const size_t q = static_cast<size_t>(scheduler.queue_of(j));
-  usage[q].tasks += 1;
-  usage[q].slot_seconds += slot_seconds;
+  result.queues[q].tasks += 1;
+  result.queues[q].slot_seconds += slot_seconds;
   if (task.contended) {
-    usage[q].contended_tasks += 1;
-    usage[q].contended_slot_seconds += slot_seconds;
+    result.queues[q].contended_tasks += 1;
+    result.queues[q].contended_slot_seconds += slot_seconds;
   }
 }
 
@@ -1642,10 +1516,16 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
   JobExec& job = jobs[static_cast<size_t>(j)];
   TaskState& task = job.tasks[task_id];
   // Corrupt-replica sightings are reported no matter whose attempt this is
-  // — the failed-over read really happened. Serial reports inline (before
-  // any kill below); parallel defers to the loop's post-drain window in
-  // the same order.
-  if (outcome != nullptr) ApplyBadReplicaReports(outcome->bad_replicas);
+  // — the failed-over read really happened. Requested before any kill
+  // below, so the reports apply first.
+  if (outcome != nullptr && !outcome->bad_replicas.empty()) {
+    dfs_mutations.push_back([this, reports = outcome->bad_replicas] {
+      for (const BadReplicaReport& r : reports) {
+        (void)dfs->ReportBadReplica(r.block_id, r.datanode);
+      }
+      IngestRepairs();
+    });
+  }
   if (attempt != 0 && attempt == task.loser_attempt) {
     // The losing attempt of a task whose race already ended: give the
     // slot back, discard the result — but bill the duplicate's reader
@@ -1655,7 +1535,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
       job.waste_ledger.Bill(obs::CostBucket::kWastedSpeculation, lost);
       job.waste_seconds += lost;
       if (tracing()) {
-        const double factor = plan.slow_factor(node);
+        const double factor = options->fault_plan.slow_factor(node);
         const double duration = constants().task_setup_s +
                                 constants().task_cleanup_s + lost * factor;
         const sim::SimTime start = events.Now() - duration;
@@ -1731,7 +1611,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
       task.attempt = attempt;
       task.run_on = node;
       task.assign_time = task.spec_assign_time;
-      ++spec_wins;
+      ++result.speculative_wins;
     } else {
       task.loser_attempt = task.spec_attempt;
       task.loser_node = task.spec_node;
@@ -1776,7 +1656,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
       tracer->Attr(sp, "billed_cost_nanos", task.ledger.total_nanos);
       tracer->Splice(outcome->trace, sp, node,
                      start + constants().task_setup_s,
-                     plan.slow_factor(node));
+                     options->fault_plan.slow_factor(node));
     } else if (task.file != nullptr) {
       tracer->Attr(sp, "file", task.file->dfs_path);
     }
@@ -1788,14 +1668,17 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
   // Failure injection: kill a victim once the designated job crosses its
   // progress threshold ("we kill all Java processes ... after 50% of work
   // progress", §6.4.3). Time-triggered kills fired via their own events.
-  for (size_t k = 0; k < plan.kills.size(); ++k) {
-    const sim::FaultPlan::Kill& kill = plan.kills[k];
+  for (size_t k = 0; k < options->fault_plan.kills.size(); ++k) {
+    const sim::FaultPlan::Kill& kill = options->fault_plan.kills[k];
     if (kill_fired[k] || kill.node < 0 || kill.at_progress < 0.0) continue;
     if (j != kill.progress_job) continue;
     if (static_cast<double>(job.completed) >=
         kill.at_progress * static_cast<double>(job.tasks.size())) {
       kill_fired[k] = 1;
-      RequestKill(kill.node, kill.revive_after);
+      const uint64_t detect_seq = events.ReserveSeq();
+      dfs_mutations.push_back([this, kill, detect_seq] {
+        ApplyKill(kill.node, kill.revive_after, detect_seq);
+      });
     }
   }
 
@@ -1851,7 +1734,7 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   task.status = TaskStatus::kPending;
   task.awaiting_backoff = true;
   task.reschedules += 1;
-  ++task_retries;
+  ++result.task_retries;
   double backoff = options->retry_backoff_s;
   for (int i = 1; i < task.reschedules; ++i) backoff *= 2.0;
   backoff = std::min(backoff, options->retry_backoff_max_s);
@@ -1969,12 +1852,13 @@ void SessionEngine::OnFailureDetected(int node) {
   }
 }
 
-void SessionEngine::RunParallelLoop() {
+void SessionEngine::RunLoop() {
   for (;;) {
-    // Join every in-flight read whose completion event could precede the
-    // next queued event — (earliest_completion, reserved seq) is a strict
-    // lower bound on the completion event's (time, seq) key, so the
-    // simulation never runs past an unscheduled completion.
+    // Join every in-flight pool read whose completion event could precede
+    // the next queued event — (earliest_completion, reserved seq) is a
+    // strict lower bound on the completion event's (time, seq) key, so the
+    // simulation never runs past an unscheduled completion. (Serial reads
+    // never enter `inflight`: their completions are already queued.)
     while (!inflight.empty()) {
       bool join_now = true;
       if (events.pending() > 0) {
@@ -1992,128 +1876,91 @@ void SessionEngine::RunParallelLoop() {
       continue;  // only in-flight reads remain; join them next pass
     }
     events.RunOne();
-    if (!pending_faults.empty() || !pending_commits.empty() ||
-        !pending_uploads.empty() || !pending_repair_commits.empty() ||
-        !pending_bad_reports.empty()) {
-      // Drain all in-flight reads before mutating shared DFS state
-      // (upload execution, reorg/repair commit, bad-replica report or
-      // fault): they were assigned pre-mutation and must observe — and
-      // may be concurrently reading — the pre-mutation bytes. The apply
-      // order mirrors the inline order serial uses within one event:
-      // reports land before fault requests (OnTaskComplete reports at
-      // entry, requests kills later), and at most one category besides
-      // those is pending per event.
-      while (!inflight.empty()) JoinOldest();
-      for (const PendingUpload& u : pending_uploads) {
-        ExecuteUpload(u.job, u.task_id, u.node, &u.seq);
-      }
-      pending_uploads.clear();
-      for (size_t mid : pending_commits) CommitMaintenance(mid);
-      pending_commits.clear();
-      for (size_t rid : pending_repair_commits) CommitRepairInline(rid);
-      pending_repair_commits.clear();
-      if (!pending_bad_reports.empty()) {
-        std::vector<BadReplicaReport> reports =
-            std::move(pending_bad_reports);
-        pending_bad_reports.clear();
-        for (const BadReplicaReport& r : reports) {
-          (void)dfs->ReportBadReplica(r.block_id, r.datanode);
-        }
-        IngestRepairs();
-      }
-      if (!pending_faults.empty()) {
-        std::vector<PendingFault> faults = std::move(pending_faults);
-        pending_faults.clear();
-        for (const PendingFault& f : faults) {
-          switch (f.kind) {
-            case PendingFault::Kind::kKill:
-              ApplyKill(f.node, f.revive_after, &f.seq);
-              break;
-            case PendingFault::Kind::kRevive:
-              ApplyRevive(f.node);
-              break;
-            case PendingFault::Kind::kCorrupt:
-              ApplyCorrupt(f.node, f.nth_block);
-              break;
-          }
-        }
-      }
+    if (dfs_mutations.empty()) continue;
+    // Drain all in-flight reads before mutating shared DFS state: they
+    // were assigned pre-mutation and must observe — and may be
+    // concurrently reading — the pre-mutation bytes. Then apply in
+    // request order (OnTaskComplete requests its bad-replica reports
+    // before its kills).
+    while (!inflight.empty()) JoinOldest();
+    while (!dfs_mutations.empty()) {
+      std::function<void()> mutate = std::move(dfs_mutations.front());
+      dfs_mutations.pop_front();
+      mutate();
     }
   }
   // Error exit: wait out any stragglers so no pool thread touches this
-  // engine after Run returns (their results are discarded, exactly as
-  // serial never executed those reads' results).
+  // engine after Run returns (their results are discarded), then drain
+  // the remaining events as no-ops; mutations they request are dropped.
   while (!inflight.empty()) {
     inflight.front().future.wait();
     inflight.pop_front();
   }
-  // Serial drains every remaining (no-op) event after an error; mirror it
-  // so executed-event accounting matches.
   events.RunUntilEmpty();
 }
 
 JobResult SessionEngine::AssembleResult(const JobExec& job) const {
   const ClusterSession::Submitted& sub = *job.submitted;
-  JobResult result;
-  result.job_name = sub.kind == ClusterSession::Submitted::Kind::kQuery
+  JobResult r;
+  r.job_name = sub.kind == ClusterSession::Submitted::Kind::kQuery
                         ? sub.spec.name
                         : sub.upload.name;
   // Per-job latency on the shared clock: completion minus submission.
-  result.end_to_end_seconds = job.finish_time - sub.submit_time;
-  result.map_tasks = static_cast<uint32_t>(job.tasks.size());
+  r.end_to_end_seconds = job.finish_time - sub.submit_time;
+  r.map_tasks = static_cast<uint32_t>(job.tasks.size());
 
   // Per-query cost attribution: winning attempts' reader ledgers plus the
-  // engine-level waste billed to this tenant (preemptions, speculative
+  // engine-level waste billed to this tenant (result.preemptions, speculative
   // losers). Buckets sum exactly to the billed total by construction.
-  result.index_column = sub.kind == ClusterSession::Submitted::Kind::kQuery
+  r.index_column = sub.kind == ClusterSession::Submitted::Kind::kQuery
                             ? job.plan.index_column
                             : -1;
-  result.planned = job.plan.planned;
-  result.predicted_cost_seconds = job.plan.predicted_cost_seconds;
-  result.cost = job.waste_ledger;
-  result.billed_cost_seconds = job.waste_seconds;
+  r.planned = job.plan.planned;
+  r.predicted_cost_seconds = job.plan.predicted_cost_seconds;
+  r.cost = job.waste_ledger;
+  r.billed_cost_seconds = job.waste_seconds;
 
   double rr_sum = 0.0;
   for (const TaskState& task : job.tasks) {
     rr_sum += task.rr_seconds;
-    result.records_seen += task.records_seen;
-    result.records_qualifying += task.records_qualifying;
-    result.bad_records_seen += task.bad_records;
-    result.rescheduled_tasks += static_cast<uint32_t>(task.reschedules);
-    result.cost.Add(task.ledger);
-    result.billed_cost_seconds += task.billed_seconds;
-    result.blocks_scanned += task.blocks_scanned;
-    result.blocks_skipped += task.blocks_skipped;
-    result.rows_skipped += task.rows_skipped;
-    result.zone_skipped_blocks += task.zone_skipped_blocks;
-    if (task.fallback_scan) result.fallback_scans += 1;
-    if (task.index_scan) result.index_scan_tasks += 1;
-    if (task.unclustered_scan) result.unclustered_scan_tasks += 1;
+    r.records_seen += task.records_seen;
+    r.records_qualifying += task.records_qualifying;
+    r.bad_records_seen += task.bad_records;
+    r.rescheduled_tasks += static_cast<uint32_t>(task.reschedules);
+    r.cost.Add(task.ledger);
+    r.billed_cost_seconds += task.billed_seconds;
+    r.blocks_scanned += task.blocks_scanned;
+    r.blocks_skipped += task.blocks_skipped;
+    r.rows_skipped += task.rows_skipped;
+    r.zone_skipped_blocks += task.zone_skipped_blocks;
+    if (task.fallback_scan) r.fallback_scans += 1;
+    if (task.index_scan) r.index_scan_tasks += 1;
+    if (task.unclustered_scan) r.unclustered_scan_tasks += 1;
     if (task.output != nullptr) {
-      result.output_count += task.output->count();
+      r.output_count += task.output->count();
       if (sub.kind == ClusterSession::Submitted::Kind::kQuery &&
           sub.spec.collect_output) {
         for (const std::string& row : task.output->rows()) {
-          result.output_rows.push_back(row);
+          r.output_rows.push_back(row);
         }
       }
     }
   }
-  result.avg_record_reader_seconds =
+  r.avg_record_reader_seconds =
       rr_sum / static_cast<double>(job.tasks.size());
   // T_ideal = #MapTasks / #ParallelMapTasks * Avg(T_RecordReader) (§6.4.1).
-  result.ideal_seconds = static_cast<double>(job.tasks.size()) /
+  r.ideal_seconds = static_cast<double>(job.tasks.size()) /
                          static_cast<double>(total_slots) *
-                         result.avg_record_reader_seconds;
-  result.overhead_seconds = result.end_to_end_seconds - result.ideal_seconds;
+                         r.avg_record_reader_seconds;
+  r.overhead_seconds = r.end_to_end_seconds - r.ideal_seconds;
 
   // Background maintenance is session-scoped; every job reports the
   // session totals (a single-job session reads exactly like the old
   // single-job runner).
-  result.maintenance_scheduled = static_cast<uint32_t>(maint.size());
-  result.maintenance_completed = maint_completed;
-  result.maintenance_failed = maint_failed;
-  return result;
+  r.maintenance_scheduled = static_cast<uint32_t>(maint.size());
+  r.maintenance_completed = result.maintenance_completed;
+  r.maintenance_failed = result.maintenance_failed;
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -2164,8 +2011,9 @@ Result<SessionResult> ClusterSession::Run() {
   eng.dfs = dfs_;
   eng.options = &options_;
   eng.scheduler = SlotScheduler(options_.policy, options_.queue_weights);
-  eng.parallel = ResolveMode(options_.execution) == ExecutionMode::kParallel;
-  if (eng.parallel) eng.pool = SharedPool();
+  if (ResolveMode(options_.execution) == ExecutionMode::kParallel) {
+    eng.pool = SharedPool();
+  }
   eng.tracer = options_.tracer;
   if (eng.tracer != nullptr) {
     eng.session_span = eng.tracer->AddSpan("session", "session", 0.0, 0.0,
@@ -2176,21 +2024,11 @@ Result<SessionResult> ClusterSession::Run() {
                      static_cast<int64_t>(cluster.num_nodes()));
   }
 
-  // Effective fault schedule: the deterministic plan plus the legacy
-  // single-kill knob (kept for callers that predate FaultPlan).
-  eng.plan = options_.fault_plan;
-  if (options_.kill_node >= 0) {
-    sim::FaultPlan::Kill kill;
-    kill.node = options_.kill_node;
-    kill.at_progress = options_.kill_at_progress;
-    kill.progress_job = options_.kill_progress_job;
-    eng.plan.kills.push_back(kill);
-  }
-  eng.kill_fired.assign(eng.plan.kills.size(), 0);
+  eng.kill_fired.assign(options_.fault_plan.kills.size(), 0);
 
   // Session-start corruptions (at_time <= 0) land before any plan or
-  // read: the fault exists from the first instant in both execution modes.
-  for (const sim::FaultPlan::Corrupt& c : eng.plan.corruptions) {
+  // read: the fault exists from the first instant.
+  for (const sim::FaultPlan::Corrupt& c : options_.fault_plan.corruptions) {
     if (c.at_time <= 0.0) eng.ApplyCorrupt(c.node, c.nth_block);
   }
 
@@ -2206,7 +2044,7 @@ Result<SessionResult> ClusterSession::Run() {
                                    jobs_[i].submit_time + slo->second);
     }
   }
-  eng.usage.resize(eng.scheduler.queues().size());
+  eng.result.queues.resize(eng.scheduler.queues().size());
 
   // Admit every immediately-submitted job now (plans computed against the
   // session-start DFS state, exactly like the single-job runner did).
@@ -2289,22 +2127,23 @@ Result<SessionResult> ClusterSession::Run() {
 
   // Time-triggered faults fire as plain events; progress-triggered kills
   // are checked in OnTaskComplete.
-  for (size_t k = 0; k < eng.plan.kills.size(); ++k) {
-    const sim::FaultPlan::Kill& kill = eng.plan.kills[k];
+  for (size_t k = 0; k < options_.fault_plan.kills.size(); ++k) {
+    const sim::FaultPlan::Kill& kill = options_.fault_plan.kills[k];
     if (kill.node < 0 || kill.at_time < 0.0) continue;
     eng.kill_fired[k] = 1;  // fires exactly once, below
-    const int victim = kill.node;
-    const double revive_after = kill.revive_after;
-    eng.events.ScheduleAt(kill.at_time, [&eng, victim, revive_after] {
-      eng.RequestKill(victim, revive_after);
+    eng.events.ScheduleAt(kill.at_time, [&eng, kill] {
+      const uint64_t detect_seq = eng.events.ReserveSeq();
+      eng.dfs_mutations.push_back([&eng, kill, detect_seq] {
+        eng.ApplyKill(kill.node, kill.revive_after, detect_seq);
+      });
     });
   }
-  for (const sim::FaultPlan::Corrupt& c : eng.plan.corruptions) {
+  for (const sim::FaultPlan::Corrupt& c : options_.fault_plan.corruptions) {
     if (c.at_time <= 0.0) continue;  // applied at the session boundary
-    const int cn = c.node;
-    const int nth = c.nth_block;
-    eng.events.ScheduleAt(c.at_time,
-                          [&eng, cn, nth] { eng.RequestCorrupt(cn, nth); });
+    eng.events.ScheduleAt(c.at_time, [&eng, c] {
+      eng.dfs_mutations.push_back(
+          [&eng, c] { eng.ApplyCorrupt(c.node, c.nth_block); });
+    });
   }
 
   // Per-node TaskTracker heartbeats, staggered like real daemon start
@@ -2341,13 +2180,9 @@ Result<SessionResult> ClusterSession::Run() {
     eng.events.ScheduleAt(t0 + stagger, Beat{&eng, i, c.heartbeat_interval_s});
   }
 
-  if (eng.parallel) {
-    eng.RunParallelLoop();
-  } else {
-    eng.events.RunUntilEmpty();
-  }
+  eng.RunLoop();
   if (eng.tracer != nullptr && eng.session_span != 0) {
-    // Both modes drain to an empty queue, so Now() — the last executed
+    // The loop drains to an empty queue, so Now() — the last executed
     // event's instant — is identical serial and parallel.
     eng.tracer->SetEnd(eng.session_span, eng.events.Now());
   }
@@ -2363,7 +2198,8 @@ Result<SessionResult> ClusterSession::Run() {
       }
     }
     options_.adaptive->ReturnUnfinished(std::move(unfinished));
-    options_.adaptive->NoteCompleted(eng.maint_completed, eng.maint_failed);
+    options_.adaptive->NoteCompleted(eng.result.maintenance_completed,
+                                     eng.result.maintenance_failed);
   }
   // Unserviced repairs go back to the namenode *before* any error exit —
   // a lost replica stays on the books until some session re-creates it.
@@ -2387,7 +2223,7 @@ Result<SessionResult> ClusterSession::Run() {
   }
 
   // ---- assemble the results ----
-  SessionResult out;
+  SessionResult& out = eng.result;
   out.jobs.reserve(eng.jobs.size());
   for (const JobExec& job : eng.jobs) {
     // Failed tenants still held the cluster until their failure instant —
@@ -2400,13 +2236,13 @@ Result<SessionResult> ClusterSession::Run() {
     out.jobs.push_back(eng.AssembleResult(job));
   }
   const auto& queues = eng.scheduler.queues();
-  eng.usage.resize(queues.size());
+  out.queues.resize(queues.size());
   for (size_t q = 0; q < queues.size(); ++q) {
-    eng.usage[q].queue = queues[q].name;
-    eng.usage[q].weight = queues[q].weight;
+    out.queues[q].queue = queues[q].name;
+    out.queues[q].weight = queues[q].weight;
     const auto slo = options_.queue_slo_s.find(queues[q].name);
     if (slo != options_.queue_slo_s.end() && slo->second > 0.0) {
-      eng.usage[q].slo_target_s = slo->second;
+      out.queues[q].slo_target_s = slo->second;
     }
   }
   // Per-queue latency distribution + SLO accounting over completed jobs.
@@ -2416,10 +2252,10 @@ Result<SessionResult> ClusterSession::Run() {
     const size_t q = static_cast<size_t>(eng.scheduler.queue_of(job.id));
     const double latency = job.finish_time - job.submitted->submit_time;
     latencies[q].push_back(latency);
-    eng.usage[q].jobs_completed += 1;
-    if (eng.usage[q].slo_target_s > 0.0 &&
-        latency > eng.usage[q].slo_target_s) {
-      eng.usage[q].slo_violations += 1;
+    QueueUsage& u = out.queues[q];
+    u.jobs_completed += 1;
+    if (u.slo_target_s > 0.0 && latency > u.slo_target_s) {
+      u.slo_violations += 1;
     }
   }
   for (size_t q = 0; q < queues.size(); ++q) {
@@ -2432,36 +2268,17 @@ Result<SessionResult> ClusterSession::Run() {
           std::ceil(p * static_cast<double>(lat.size())));
       return lat[std::min(lat.size(), std::max<size_t>(rank, 1)) - 1];
     };
-    eng.usage[q].latency_p50_s = pct(0.50);
-    eng.usage[q].latency_p95_s = pct(0.95);
-    eng.usage[q].latency_p99_s = pct(0.99);
-    out.slo_violations_total += eng.usage[q].slo_violations;
+    out.queues[q].latency_p50_s = pct(0.50);
+    out.queues[q].latency_p95_s = pct(0.95);
+    out.queues[q].latency_p99_s = pct(0.99);
+    out.slo_violations_total += out.queues[q].slo_violations;
   }
-  out.preemptions = eng.preemptions;
-  out.preempted_slot_seconds = eng.preempted_slot_seconds;
-  out.jobs_shed = eng.jobs_shed;
-  out.replicas_added = eng.replicas_added;
-  out.replicas_evicted = eng.replicas_evicted;
-  out.queues = std::move(eng.usage);
   out.maintenance_scheduled = static_cast<uint32_t>(eng.maint.size());
-  out.maintenance_completed = eng.maint_completed;
-  out.maintenance_failed = eng.maint_failed;
-  out.maintenance_while_foreground_pending = eng.maint_while_fg_pending;
   out.repairs_scheduled = static_cast<uint32_t>(eng.repairs.size());
-  out.repairs_completed = eng.repairs_completed;
-  out.repairs_abandoned = eng.repairs_abandoned;
   out.under_replicated_remaining = dfs_->namenode().under_replicated_count();
-  out.task_retries = eng.task_retries;
-  out.speculative_attempts = eng.spec_attempts;
-  out.speculative_wins = eng.spec_wins;
-  out.jobs_planned = eng.jobs_planned;
-  out.plan_cache_hits = eng.plan_cache_hits;
-  out.plan_cache_misses = eng.plan_cache_misses;
-  out.plan_cache_invalidations = eng.plan_cache_invalidations;
-  out.stats_backfilled = eng.stats_backfilled;
 
-  // Mirror the session's engine counters into the cluster's unified
-  // registry (monotonic across sessions; a snapshot after N sessions is
+  // Mirror the session's counters into the cluster's unified registry
+  // (monotonic across sessions; a snapshot after N sessions is
   // byte-identical serial vs parallel because every delta is).
   {
     obs::MetricsRegistry& m = dfs_->metrics();
@@ -2469,27 +2286,27 @@ Result<SessionResult> ClusterSession::Run() {
     m.counter("scheduler.jobs_submitted")->Add(jobs_.size());
     m.counter("scheduler.jobs_completed")
         ->Add(static_cast<uint64_t>(eng.completion_order.size()));
-    m.counter("scheduler.jobs_shed")->Add(eng.jobs_shed);
-    m.counter("scheduler.preemptions")->Add(eng.preemptions);
-    m.counter("scheduler.task_retries")->Add(eng.task_retries);
-    m.counter("scheduler.speculative_attempts")->Add(eng.spec_attempts);
-    m.counter("scheduler.speculative_wins")->Add(eng.spec_wins);
+    m.counter("scheduler.jobs_shed")->Add(out.jobs_shed);
+    m.counter("scheduler.preemptions")->Add(out.preemptions);
+    m.counter("scheduler.task_retries")->Add(out.task_retries);
+    m.counter("scheduler.speculative_attempts")->Add(out.speculative_attempts);
+    m.counter("scheduler.speculative_wins")->Add(out.speculative_wins);
     m.counter("scheduler.slo_violations")->Add(out.slo_violations_total);
     m.gauge("scheduler.preempted_slot_seconds")
-        ->Add(eng.preempted_slot_seconds);
-    m.counter("maintenance.scheduled")->Add(eng.maint.size());
-    m.counter("maintenance.completed")->Add(eng.maint_completed);
-    m.counter("maintenance.failed")->Add(eng.maint_failed);
-    m.counter("repair.scheduled")->Add(eng.repairs.size());
-    m.counter("repair.completed")->Add(eng.repairs_completed);
-    m.counter("repair.abandoned")->Add(eng.repairs_abandoned);
-    m.counter("replication.replicas_added")->Add(eng.replicas_added);
-    m.counter("replication.replicas_evicted")->Add(eng.replicas_evicted);
+        ->Add(out.preempted_slot_seconds);
+    m.counter("maintenance.scheduled")->Add(out.maintenance_scheduled);
+    m.counter("maintenance.completed")->Add(out.maintenance_completed);
+    m.counter("maintenance.failed")->Add(out.maintenance_failed);
+    m.counter("repair.scheduled")->Add(out.repairs_scheduled);
+    m.counter("repair.completed")->Add(out.repairs_completed);
+    m.counter("repair.abandoned")->Add(out.repairs_abandoned);
+    m.counter("replication.replicas_added")->Add(out.replicas_added);
+    m.counter("replication.replicas_evicted")->Add(out.replicas_evicted);
     // Planner counters only materialize when planning is in play, so the
     // metric snapshots of planner-free runs stay byte-identical to before
     // the planner existed.
-    if (eng.jobs_planned > 0 || options_.plan_cache != nullptr ||
-        eng.stats_backfilled > 0) {
+    if (out.jobs_planned > 0 || options_.plan_cache != nullptr ||
+        out.stats_backfilled > 0) {
       uint64_t zone_skips = 0;
       for (const JobExec& job : eng.jobs) {
         for (const TaskState& task : job.tasks) {
@@ -2498,13 +2315,13 @@ Result<SessionResult> ClusterSession::Run() {
           }
         }
       }
-      m.counter("planner.jobs_planned")->Add(eng.jobs_planned);
+      m.counter("planner.jobs_planned")->Add(out.jobs_planned);
       m.counter("planner.blocks_skipped")->Add(zone_skips);
-      m.counter("planner.plan_cache_hits")->Add(eng.plan_cache_hits);
-      m.counter("planner.plan_cache_misses")->Add(eng.plan_cache_misses);
+      m.counter("planner.plan_cache_hits")->Add(out.plan_cache_hits);
+      m.counter("planner.plan_cache_misses")->Add(out.plan_cache_misses);
       m.counter("planner.plan_cache_invalidations")
-          ->Add(eng.plan_cache_invalidations);
-      m.counter("planner.stats_backfilled")->Add(eng.stats_backfilled);
+          ->Add(out.plan_cache_invalidations);
+      m.counter("planner.stats_backfilled")->Add(out.stats_backfilled);
     }
     obs::Histogram* rr = m.histogram(
         "task.rr_seconds", {0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0});
@@ -2533,7 +2350,7 @@ Result<SessionResult> ClusterSession::Run() {
       if (r.ok()) options_.adaptive->ObserveJob(sub.spec, *r);
     }
   }
-  return out;
+  return std::move(out);
 }
 
 }  // namespace mapreduce

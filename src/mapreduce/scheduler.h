@@ -28,13 +28,16 @@
 ///
 /// Determinism: every scheduling decision is a pure function of the event
 /// order — policy state (queue deficits, pending counts) mutates only on
-/// the event thread, and the parallel execution engine reserves completion
-/// FIFO slots at assignment exactly as in the single-job engine — so
-/// serial and parallel execution stay bit-identical across interleaved
-/// jobs (tests/scheduler_test.cc pins it with %.17g dumps).
+/// the event thread. Serial and parallel sessions run one event schedule:
+/// both reserve a map task's completion FIFO slot at assignment, and both
+/// apply every shared-DFS mutation (upload execution, reorg and repair
+/// commits, bad-replica reports, kill/revive/corrupt) after the event that
+/// requested it, once in-flight reads have joined. ExecutionMode decides
+/// only whether a read runs on the event thread or on the worker pool, so
+/// the two modes are bit-identical across interleaved jobs by construction
+/// (tests/scheduler_test.cc pins it with %.17g dumps).
 ///
-/// JobRunner::Run is now a one-job ClusterSession; its simulated outputs
-/// are byte-identical to the pre-session engine.
+/// JobRunner::Run (job_runner.h) is a one-job ClusterSession.
 
 #pragma once
 
@@ -44,7 +47,6 @@
 
 #include "hail/hail_client.h"
 #include "mapreduce/job.h"
-#include "mapreduce/job_runner.h"
 #include "obs/trace.h"
 #include "sim/fault_plan.h"
 #include "util/result.h"
@@ -57,6 +59,22 @@ namespace planner {
 class PlanCache;
 }  // namespace planner
 namespace mapreduce {
+
+/// \brief Where map-task reads execute under the simulated scheduler.
+///
+/// Both modes run the same event schedule, so every simulated output is
+/// bit-identical between them; only wall-clock time differs.
+enum class ExecutionMode {
+  /// HAIL_EXEC environment variable ("serial"/"parallel"), defaulting to
+  /// parallel on multi-core machines and serial when only one worker
+  /// thread is available (nothing to overlap).
+  kDefault,
+  /// Run every read inline on the event thread (the reference side of
+  /// the determinism tests).
+  kSerial,
+  /// Overlap reads on a worker pool (HAIL_THREADS workers).
+  kParallel,
+};
 
 /// \brief How free map slots are shared between admitted jobs.
 enum class SchedulerPolicy {
@@ -211,15 +229,9 @@ struct SessionOptions {
   /// back to the observed mean for unplanned jobs. Off by default: the
   /// legacy estimator's shed decisions are preserved bit-for-bit.
   bool admission_from_planner = false;
-  /// Node to kill mid-session; -1 disables failure injection. Legacy
-  /// single-kill knob, merged into `fault_plan` at Run time.
-  int kill_node = -1;
-  /// Kill once this fraction of `kill_progress_job`'s tasks completed.
-  double kill_at_progress = 0.5;
-  /// Job whose progress triggers the kill (submission index).
-  int kill_progress_job = 0;
-  /// Deterministic fault schedule: node kills (with optional revive),
-  /// per-(node, block) replica corruption, slow-node factors.
+  /// Deterministic fault schedule: node kills (at a time or at a job's
+  /// progress fraction, with optional revive), per-(node, block) replica
+  /// corruption, slow-node factors.
   sim::FaultPlan fault_plan;
   /// Re-replicate lost/corrupt replicas through the maintenance queue
   /// (strictly below foreground work). Opt-in: sessions that inject
@@ -241,9 +253,8 @@ struct SessionOptions {
   /// Feed each completed query to the adaptive manager as it finishes
   /// (instead of only in the session epilogue) so the planner can react —
   /// e.g. add hot-block replicas — while the storm is still running. The
-  /// observe/plan round runs as its own deferred event, after both
-  /// engines have applied every pending shared-DFS mutation, preserving
-  /// serial==parallel.
+  /// observe/plan round runs as its own deferred event, after every
+  /// pending shared-DFS mutation has applied.
   bool online_adaptation = false;
 
   /// When non-null, the session emits spans (session, jobs, tasks, block

@@ -429,8 +429,7 @@ std::vector<JobResult> RunUntilConverged(Testbed* bed,
     options.execution = ExecutionMode::kSerial;
     options.adaptive = manager;
     if (kill_node_on_run == i) {
-      options.kill_node = 1;
-      options.kill_at_progress = 0.3;
+      options.fault_plan.kills.push_back({.node = 1, .at_progress = 0.3});
     }
     auto r = bed->RunQuery(System::kHail, "/d", ShiftedQuery(), false,
                            options, /*collect_output=*/true);

@@ -213,8 +213,7 @@ TEST(ParallelDeterminismTest, FailureInjectionSerialEqualsParallel) {
                   .ok());
   const QueryDef q = workload::BobQueries()[0];
   RunOptions failure;
-  failure.kill_node = 2;
-  failure.kill_at_progress = 0.5;
+  failure.fault_plan.kills.push_back({.node = 2, .at_progress = 0.5});
   auto serial = bed.RunQuery(System::kHail, "/d", q, false,
                              Mode(ExecutionMode::kSerial, failure), true);
   auto parallel = bed.RunQuery(System::kHail, "/d", q, false,
@@ -252,8 +251,7 @@ std::vector<std::string> RunAdaptiveScenario(ExecutionMode mode,
     options.execution = mode;
     options.adaptive = &manager;
     if (run == 2) {
-      options.kill_node = 2;
-      options.kill_at_progress = 0.4;
+      options.fault_plan.kills.push_back({.node = 2, .at_progress = 0.4});
     }
     auto r = bed.RunQuery(System::kHail, "/d", shifted, false, options,
                           /*collect_output=*/true);

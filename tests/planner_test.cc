@@ -129,6 +129,63 @@ TEST(BlockStatsTest, UploadStatsMatchRebuildEncodedV3) {
   CheckUploadStatsMatchRebuild(/*encode_blocks=*/true);
 }
 
+// The sidecar is unchecksummed namenode metadata: a forged or truncated
+// one must come back as a Status, never as an exception or a huge
+// allocation.
+TEST(BlockStatsTest, HostileSidecarsReturnCorruptionWithoutThrowing) {
+  const auto parse = [](const std::string& bytes) {
+    Result<planner::BlockStats> r = Status::Unknown("threw");
+    EXPECT_NO_THROW(r = planner::BlockStats::Deserialize(bytes));
+    return r.status();
+  };
+  const auto header = [](uint32_t num_columns) {
+    ByteWriter w;
+    w.PutU32(planner::kBlockStatsMagic);
+    w.PutU8(planner::kBlockStatsVersion);
+    w.PutU32(10);  // num_records
+    w.PutU32(0);   // num_bad_records
+    w.PutU32(num_columns);
+    return w;
+  };
+
+  // 17 bytes claiming 2^32 - 1 columns.
+  const std::string forged = header(0xFFFFFFFFu).Take();
+  ASSERT_EQ(forged.size(), 17u);
+  EXPECT_TRUE(parse(forged).IsCorruption()) << parse(forged).ToString();
+
+  // A field type byte outside the enum.
+  ByteWriter bad_type = header(1);
+  bad_type.PutU8(0x7F);
+  bad_type.PutU8(0);  // not valid: no further column bytes
+  EXPECT_TRUE(parse(bad_type.Take()).IsCorruption());
+
+  // A valid INT32 column claiming 2^32 - 1 histogram buckets.
+  ByteWriter buckets = header(1);
+  buckets.PutU8(static_cast<uint8_t>(FieldType::kInt32));
+  buckets.PutU8(1);
+  buckets.PutU64(10);  // num_values
+  buckets.PutU64(5);   // distinct
+  buckets.PutU64(40);  // value_bytes
+  buckets.PutI32(1);   // min
+  buckets.PutI32(9);   // max
+  buckets.PutU32(0xFFFFFFFFu);
+  buckets.PutI32(5);
+  EXPECT_TRUE(parse(buckets.Take()).IsCorruption());
+
+  // Every truncation of a real sidecar fails cleanly.
+  Testbed bed(SmallConfig());
+  bed.LoadUserVisits();
+  ASSERT_TRUE(bed.UploadHail("/uv", {workload::kVisitDate}).ok());
+  const hdfs::BlockLocation loc = AllBlocks(bed, "/uv").front();
+  auto sidecar = bed.dfs().namenode().GetBlockStats(loc.block_id);
+  ASSERT_TRUE(sidecar.ok()) << sidecar.status().ToString();
+  const std::string real(*sidecar);
+  ASSERT_TRUE(parse(real).ok());
+  for (size_t n = 0; n < real.size(); ++n) {
+    EXPECT_FALSE(parse(real.substr(0, n)).ok()) << "truncated to " << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Planning layer: zone-map skips prune blocks without changing the answer
 // ---------------------------------------------------------------------------

@@ -284,9 +284,8 @@ std::string RunKillScenario(ExecutionMode mode) {
   opt.policy = SchedulerPolicy::kFair;
   opt.queue_weights = {{"a", 2.0}, {"b", 1.0}};
   opt.execution = mode;
-  opt.kill_node = 2;
-  opt.kill_at_progress = 0.5;
-  opt.kill_progress_job = 0;
+  opt.fault_plan.kills.push_back(
+      {.node = 2, .at_progress = 0.5, .progress_job = 0});
   ClusterSession session(&bed.dfs(), opt);
   session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]), "a");
   session.Submit(QueryJob(bed, "/d", workload::BobQueries()[1]), "b");
@@ -466,9 +465,8 @@ std::string RunBigScenario(ExecutionMode mode, uint64_t* maint_completed) {
     opt.execution = mode;
     opt.adaptive = &manager;
     if (round == 1) {
-      opt.kill_node = 2;
-      opt.kill_at_progress = 0.4;
-      opt.kill_progress_job = 1;
+      opt.fault_plan.kills.push_back(
+          {.node = 2, .at_progress = 0.4, .progress_job = 1});
     }
     ClusterSession session(&bed.dfs(), opt);
     session.Submit(QueryJob(bed, "/d", shifted), "a");
@@ -668,8 +666,12 @@ TestbedConfig StormConfig(uint64_t seed) {
   return config;
 }
 
+// With `failing_upload`, an ingest tenant whose execution fails (more sort
+// columns than replicas) joins mid-storm: its slot is freed by the failed
+// upload in the same heartbeat that then checks for preemption.
 std::string RunPreemptionScenario(ExecutionMode mode, bool preemption,
-                                  SessionResult* out) {
+                                  SessionResult* out,
+                                  bool failing_upload = false) {
   Testbed bed(StormConfig(31));
   bed.LoadUserVisits();
   EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
@@ -686,11 +688,18 @@ std::string RunPreemptionScenario(ExecutionMode mode, bool preemption,
   ClusterSession session(&bed.dfs(), opt);
   session.Submit(QueryJob(bed, "/d", heavy), "heavy");
   session.Submit(QueryJob(bed, "/d", light), "short", 10.0);
+  if (failing_upload) {
+    UploadJobSpec bad = MakeHailUpload(bed, "/broken", 2);
+    bad.hail.sort_columns = {0, 1, 2, 3};  // > replication (3)
+    session.SubmitUpload(std::move(bad), "ingest", 20.0);
+  }
   auto sr = session.Run();
   EXPECT_TRUE(sr.ok()) << sr.status().ToString();
   if (!sr.ok()) return sr.status().ToString();
-  for (const auto& job : sr->jobs) {
-    EXPECT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_TRUE(sr->jobs[0].ok()) << sr->jobs[0].status().ToString();
+  EXPECT_TRUE(sr->jobs[1].ok()) << sr->jobs[1].status().ToString();
+  if (failing_upload) {
+    EXPECT_FALSE(sr->jobs[2].ok());
   }
   if (out != nullptr) *out = *sr;
   return DumpSession(*sr);
@@ -722,6 +731,17 @@ TEST(ClusterSessionTest, PreemptionSerialEqualsParallel) {
   const std::string parallel =
       RunPreemptionScenario(ExecutionMode::kParallel, true, nullptr);
   EXPECT_EQ(serial, parallel);
+
+  // A failing upload frees its slot only once the event's DFS mutations
+  // apply — after that heartbeat's preemption check — in both modes.
+  SessionResult serial_result;
+  const std::string serial_upload = RunPreemptionScenario(
+      ExecutionMode::kSerial, true, &serial_result, /*failing_upload=*/true);
+  const std::string parallel_upload = RunPreemptionScenario(
+      ExecutionMode::kParallel, true, nullptr, /*failing_upload=*/true);
+  EXPECT_EQ(serial_upload, parallel_upload);
+  EXPECT_EQ(serial_result.preemptions, 3u);
+  EXPECT_DOUBLE_EQ(serial_result.preempted_slot_seconds, 65.75);
 }
 
 // ---------------------------------------------------------------------------
@@ -755,8 +775,7 @@ TEST(ClusterSessionTest, RetryBackoffDefaultsArePinned) {
       opt.retry_backoff_s = 10.0;
       opt.retry_backoff_max_s = 60.0;
     }
-    opt.kill_node = 2;
-    opt.kill_at_progress = 0.5;
+    opt.fault_plan.kills.push_back({.node = 2, .at_progress = 0.5});
     ClusterSession session(&bed.dfs(), opt);
     session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
     auto sr = session.Run();
