@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "hail/hail_block.h"
-#include "hdfs/packet.h"
 #include "index/unclustered_index.h"
-#include "layout/column_vector.h"
 #include "planner/block_stats.h"
 
 namespace hail {
@@ -20,7 +18,7 @@ namespace {
 /// id), so the extra copy is the *useful* layout; falls back to the
 /// lowest-id alive PAX holder. Billed like a re-replication repair: source
 /// read + network transfer + checksum + target write.
-Result<PreparedReorg> PrepareAddReplica(const hdfs::MiniDfs& dfs,
+Result<PreparedWrite> PrepareAddReplica(const hdfs::MiniDfs& dfs,
                                         const MaintenanceTask& task) {
   const hdfs::Namenode& nn = dfs.namenode();
   if (nn.GetReplicaInfo(task.block_id, task.datanode).ok()) {
@@ -48,31 +46,21 @@ Result<PreparedReorg> PrepareAddReplica(const hdfs::MiniDfs& dfs,
     return Status::Unavailable("no live PAX source replica for block " +
                                std::to_string(task.block_id));
   }
-  HAIL_ASSIGN_OR_RETURN(hdfs::HailBlockReplicaInfo info,
-                        nn.GetReplicaInfo(task.block_id, source));
+  PreparedWrite out;
+  HAIL_ASSIGN_OR_RETURN(out.info, nn.GetReplicaInfo(task.block_id, source));
   HAIL_ASSIGN_OR_RETURN(std::string_view raw,
                         dfs.datanode(source).ReadBlockRaw(task.block_id));
-
-  PreparedReorg out;
-  out.bytes = std::string(raw);
-  out.info = info;
-  out.info.replica_bytes = out.bytes.size();
-  out.chunk_crcs = hdfs::ComputeChunkChecksums(
-      out.bytes, static_cast<uint32_t>(dfs.config().chunk_bytes));
-  const double scale = dfs.config().scale_factor;
+  SetReplicaBytes(dfs, std::string(raw), &out);
   const uint64_t logical = static_cast<uint64_t>(
-      static_cast<double>(out.bytes.size()) * scale);
-  const sim::CostModel& src_cost = dfs.cluster().node(source).cost();
-  const sim::CostModel& dst_cost = dfs.cluster().node(task.datanode).cost();
-  out.seconds = src_cost.DiskAccess(logical);
-  if (source != task.datanode) out.seconds += dst_cost.NetTransfer(logical);
-  out.seconds += dst_cost.Crc(logical) + dst_cost.DiskAccess(logical);
+      static_cast<double>(out.bytes.size()) * dfs.config().scale_factor);
+  out.seconds =
+      CopySeconds(dfs, source, task.datanode, logical, /*cpu=*/0.0, logical);
   return out;
 }
 
 }  // namespace
 
-Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
+Result<PreparedWrite> PrepareReorg(const hdfs::MiniDfs& dfs,
                                    const MaintenanceTask& task) {
   if (task.datanode < 0 || task.datanode >= dfs.num_datanodes()) {
     return Status::InvalidArgument("maintenance task names no datanode");
@@ -85,7 +73,7 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
     // seek on the evictee; the actual drop happens at commit.
     HAIL_RETURN_NOT_OK(
         dfs.namenode().GetReplicaInfo(task.block_id, task.datanode).status());
-    PreparedReorg out;
+    PreparedWrite out;
     out.seconds = dfs.cluster().node(task.datanode).cost().DiskAccess(0);
     return out;
   }
@@ -102,39 +90,28 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
   HAIL_ASSIGN_OR_RETURN(HailBlockView view, HailBlockView::Open(raw));
   HAIL_ASSIGN_OR_RETURN(PaxBlock base,
                         PaxBlock::Deserialize(view.pax_section()));
+  // Logical (paper-scale) quantities for billing, derived exactly like the
+  // upload path's HailTransformParams.
+  const HailTransformParams params = StoredBlockParams(dfs, base);
+  const sim::CostModel& cost = dfs.cluster().node(task.datanode).cost();
+  const uint64_t logical_data = static_cast<uint64_t>(
+      static_cast<double>(base.PayloadBytes()) * dfs.config().scale_factor);
   if (task.kind == MaintenanceTask::Kind::kBuildStats) {
     // Stats backfill: read the replica, summarize every column, hand the
     // sidecar to CommitReorg. Metadata-only — no bytes are written back.
-    PreparedReorg out;
+    PreparedWrite out;
     out.info = old_info;
     out.stats = planner::BlockStats::Build(base).Serialize();
-    const double s = dfs.config().scale_factor;
-    const sim::CostModel& node_cost = dfs.cluster().node(task.datanode).cost();
-    const uint64_t logical_rows = static_cast<uint64_t>(
-        static_cast<double>(base.num_records()) * s);
-    const uint64_t logical_payload = static_cast<uint64_t>(
-        static_cast<double>(base.PayloadBytes()) * s);
-    out.seconds =
-        node_cost.DiskAccess(logical_payload) +
-        node_cost.StatsBuild(logical_rows * base.schema().num_fields());
+    out.seconds = cost.DiskAccess(logical_data) +
+                  cost.StatsBuild(params.logical_records *
+                                  base.schema().num_fields());
     return out;
   }
   if (task.column < 0 || task.column >= base.schema().num_fields()) {
     return Status::InvalidArgument("reorg column outside the schema");
   }
 
-  // Logical (paper-scale) quantities for billing, derived exactly like the
-  // upload path's HailTransformParams.
-  const double scale = dfs.config().scale_factor;
-  const sim::CostModel& cost = dfs.cluster().node(task.datanode).cost();
-  const sim::CostConstants& c = dfs.cluster().constants();
-  const uint64_t logical_records = static_cast<uint64_t>(
-      static_cast<double>(base.num_records()) * scale);
-  const uint64_t logical_data = static_cast<uint64_t>(
-      static_cast<double>(base.PayloadBytes()) * scale);
-  const FieldType key_type = base.schema().field(task.column).type;
-
-  PreparedReorg out;
+  PreparedWrite out;
   out.info = old_info;
   out.info.layout = hdfs::ReplicaLayout::kPax;
 
@@ -144,48 +121,33 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
     // Lazy path: sort only (key, rowid) pairs; data + clustered index are
     // spliced through untouched.
     const UnclusteredIndex uc = UnclusteredIndex::Build(base.column(task.column));
-    out.bytes = BuildHailBlockParts(view.sort_column(), view.index_section(),
-                                    view.pax_section(), task.column,
-                                    uc.Serialize());
+    SetReplicaBytes(dfs,
+                    BuildHailBlockParts(view.sort_column(),
+                                        view.index_section(),
+                                        view.pax_section(), task.column,
+                                        uc.Serialize()),
+                    &out);
     out.info.unclustered_column = task.column;
     out.info.unclustered_index_bytes = uc.SerializedBytes();
-    cpu += cost.UnclusteredBuild(logical_records);
+    cpu += cost.UnclusteredBuild(params.logical_records);
     // Dense: one (key, rowid) entry per logical record (§3.5) — the same
     // size the reader bills when it later loads this index.
-    logical_index_delta = LogicalDenseIndexBytes(logical_records, key_type);
+    logical_index_delta = LogicalDenseIndexBytes(
+        params.logical_records, base.schema().field(task.column).type);
   } else {
-    // Full re-sort via the upload-time machinery: raw typed argsort of the
-    // key column, PermutedCopy of the shared columns, sparse index.
-    const std::vector<uint32_t> perm = ArgSortColumn(base.column(task.column));
-    const PaxBlock sorted = base.PermutedCopy(perm);
-    const ClusteredIndex index = ClusteredIndex::Build(
-        sorted.column(task.column),
-        dfs.config().format.varlen_partition_size);
-    out.bytes = BuildHailBlock(sorted, &index, task.column);
+    // Full re-sort via the upload-time machinery.
+    SortedReplica sorted = BuildSortedReplica(base, task.column, params, cost);
+    SetReplicaBytes(dfs, std::move(sorted.bytes), &out);
     out.info.sort_column = task.column;
     out.info.index_kind = "clustered";
-    out.info.index_bytes = index.SerializedBytes();
+    out.info.index_bytes = sorted.index_bytes;
     // The re-sort consumes any previously installed unclustered index
     // (rows moved; its rowids would be stale).
     out.info.unclustered_column = -1;
     out.info.unclustered_index_bytes = 0;
-    cpu += cost.SortBlock(
-        logical_records,
-        static_cast<uint64_t>(static_cast<double>(base.FixedPayloadBytes()) *
-                              scale),
-        static_cast<uint64_t>(static_cast<double>(base.VarlenPayloadBytes()) *
-                              scale),
-        key_type == FieldType::kString);
-    cpu += cost.IndexBuild(logical_records);
-    // Paper-scale sparse root: one entry per 1024 logical values — again
-    // exactly what the reader bills for loading it.
-    logical_index_delta = LogicalSparseIndexBytes(
-        logical_records, c.index_partition_logical, key_type,
-        /*pointer_bytes=*/4);
+    cpu += sorted.cpu_seconds;
+    logical_index_delta = sorted.logical_index_bytes;
   }
-  out.info.replica_bytes = out.bytes.size();
-  out.chunk_crcs = hdfs::ComputeChunkChecksums(
-      out.bytes, static_cast<uint32_t>(dfs.config().chunk_bytes));
 
   // Simulated duration on the owning datanode: read the replica, do the
   // CPU work, recompute checksums, write data + index back.
@@ -197,7 +159,7 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
 }
 
 Status CommitReorg(hdfs::MiniDfs* dfs, const MaintenanceTask& task,
-                   PreparedReorg prepared) {
+                   PreparedWrite prepared) {
   if (!dfs->cluster().node(task.datanode).alive()) {
     return Status::FailedPrecondition("datanode died mid-reorg");
   }

@@ -7,12 +7,16 @@
 ///    adaptivity) — sort order, clustered index and PAX payload are copied
 ///    verbatim, so the rewrite costs one read + key sort + write;
 ///  - kResortReplica: fully re-sort the replica to the hot column and
-///    rebuild its clustered index via the same PermutedCopy machinery the
-///    upload-time HailReplicaTransformer uses.
+///    rebuild its clustered index via BuildSortedReplica, the re-sort the
+///    upload-time HailReplicaTransformer and replica repairs use;
+///  - kAddReplica / kEvictReplica / kBuildStats: aggressive replication,
+///    its storage-budget eviction, and planner stats backfill.
 ///
-/// Execution is split so the JobRunner can bill it like any other
-/// simulated work: PrepareReorg (at task assignment, read-only) computes
-/// the new replica bytes and the simulated duration; CommitReorg (at the
+/// Execution is split exactly like a replica repair (hail/re_replication.h)
+/// so the scheduler's one background lane bills both alike:
+/// PrepareReorg (at task assignment, read-only) computes a PreparedWrite —
+/// the new replica bytes and the simulated duration, which the scheduler
+/// stretches by the node's slow-node factor; CommitReorg (at the
 /// completion event) atomically stores the bytes — bumping the datanode's
 /// block generation, which invalidates every BlockCache entry for the old
 /// bytes — and re-registers the replica in the namenode's Dir_rep so
@@ -21,9 +25,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "hail/re_replication.h"
 #include "hdfs/dfs_client.h"
 
 namespace hail {
@@ -65,23 +68,10 @@ struct MaintenanceTask {
   }
 };
 
-/// \brief A rewrite ready to commit, plus its simulated price.
-struct PreparedReorg {
-  std::string bytes;                     // new replica bytes
-  std::vector<uint32_t> chunk_crcs;      // recomputed checksums
-  hdfs::HailBlockReplicaInfo info;       // new Dir_rep record
-  /// kBuildStats only: the serialized planner::BlockStats sidecar to
-  /// register at commit (replica bytes stay untouched).
-  std::string stats;
-  /// Simulated seconds the rewrite occupies its slot (read + CPU + write),
-  /// billed on the owning datanode's cost model.
-  double seconds = 0.0;
-};
-
 /// Computes the rewrite without mutating anything. Fails when the replica
 /// is missing, not PAX, or the column is out of range. Deterministic for a
 /// given DFS state.
-Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
+Result<PreparedWrite> PrepareReorg(const hdfs::MiniDfs& dfs,
                                    const MaintenanceTask& task);
 
 /// Applies a prepared rewrite: StoreBlock (generation bump + cache
@@ -89,7 +79,7 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
 /// since preparation (the task is requeued by the caller and survives the
 /// kill/revive cycle).
 Status CommitReorg(hdfs::MiniDfs* dfs, const MaintenanceTask& task,
-                   PreparedReorg prepared);
+                   PreparedWrite prepared);
 
 }  // namespace adaptive
 }  // namespace hail

@@ -6,6 +6,29 @@
 
 namespace hail {
 
+SortedReplica BuildSortedReplica(const PaxBlock& base, int sort_column,
+                                 const HailTransformParams& params,
+                                 const sim::CostModel& cost) {
+  const std::vector<uint32_t> perm = ArgSortColumn(base.column(sort_column));
+  const PaxBlock sorted = base.PermutedCopy(perm);
+  const ClusteredIndex index = ClusteredIndex::Build(
+      sorted.column(sort_column), params.varlen_partition_size);
+  const FieldType key_type = base.schema().field(sort_column).type;
+  SortedReplica out;
+  out.bytes = BuildHailBlock(sorted, &index, sort_column);
+  out.index_bytes = index.SerializedBytes();
+  out.cpu_seconds = cost.SortBlock(params.logical_records,
+                                   params.logical_fixed_bytes,
+                                   params.logical_varlen_bytes,
+                                   key_type == FieldType::kString) +
+                    cost.IndexBuild(params.logical_records);
+  out.logical_index_bytes =
+      LogicalSparseIndexBytes(params.logical_records,
+                              params.index_partition_logical, key_type,
+                              /*pointer_bytes=*/4);
+  return out;
+}
+
 Status HailReplicaTransformer::BeginBlock(std::string_view reassembled) {
   // The single decode this block will ever see: every replica below is a
   // permutation of these columns.
@@ -39,29 +62,14 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
   out.info.layout = hdfs::ReplicaLayout::kPax;
   uint64_t logical_index_bytes = 0;
   if (sort_column >= 0 && base_->num_records() > 0) {
-    // Extract the replica's sort keys once from the shared column and
-    // permute all columns into this replica's order (raw typed argsort —
-    // see ArgSortColumn — not Value comparisons).
-    const std::vector<uint32_t> perm =
-        ArgSortColumn(base_->column(sort_column));
-    const PaxBlock sorted = base_->PermutedCopy(perm);
-    const ClusteredIndex index = ClusteredIndex::Build(
-        sorted.column(sort_column), params_.varlen_partition_size);
-    out.bytes = BuildHailBlock(sorted, &index, sort_column);
-    const bool string_key =
-        base_->schema().field(sort_column).type == FieldType::kString;
-    out.cpu_seconds +=
-        ctx.cost->SortBlock(params_.logical_records,
-                            params_.logical_fixed_bytes,
-                            params_.logical_varlen_bytes, string_key);
-    out.cpu_seconds += ctx.cost->IndexBuild(params_.logical_records);
+    SortedReplica sorted =
+        BuildSortedReplica(*base_, sort_column, params_, *ctx.cost);
+    out.bytes = std::move(sorted.bytes);
+    out.cpu_seconds += sorted.cpu_seconds;
     out.info.sort_column = sort_column;
     out.info.index_kind = "clustered";
-    out.info.index_bytes = index.SerializedBytes();
-    // The paper-scale index root: one entry per 1024 values (§3.5).
-    logical_index_bytes = LogicalSparseIndexBytes(
-        params_.logical_records, params_.index_partition_logical,
-        base_->schema().field(sort_column).type, /*pointer_bytes=*/4);
+    out.info.index_bytes = sorted.index_bytes;
+    logical_index_bytes = sorted.logical_index_bytes;
   } else {
     out.bytes = BuildHailBlock(*base_, nullptr, -1);
   }

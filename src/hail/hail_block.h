@@ -75,6 +75,25 @@ struct HailTransformParams {
   bool build_stats = false;
 };
 
+/// \brief One replica sorted by a column, with its clustered index.
+struct SortedReplica {
+  std::string bytes;        // the serialised HAIL block
+  uint64_t index_bytes = 0;  // real clustered-index bytes
+  /// Simulated sort + index-build CPU on the building node.
+  double cpu_seconds = 0.0;
+  /// Paper-scale index root: one entry per 1024 logical values (§3.5).
+  uint64_t logical_index_bytes = 0;
+};
+
+/// \brief Sorts \p base by \p sort_column and builds its clustered index:
+/// the one re-sort path behind the upload transformer, adaptive re-sorts
+/// and replica repairs. A raw typed argsort of the key column (see
+/// ArgSortColumn) is applied to every shared column via PermutedCopy.
+/// Billing uses the paper-scale sizes in \p params on \p cost.
+SortedReplica BuildSortedReplica(const PaxBlock& base, int sort_column,
+                                 const HailTransformParams& params,
+                                 const sim::CostModel& cost);
+
 /// \brief The HAIL per-replica layout policy (steps 6-9 of Figure 1).
 ///
 /// BeginBlock decodes the reassembled PAX block exactly once (asserted by

@@ -5,8 +5,6 @@
 
 #include "hail/hail_block.h"
 #include "hdfs/packet.h"
-#include "index/clustered_index.h"
-#include "layout/column_vector.h"
 #include "obs/metrics.h"
 
 namespace hail {
@@ -21,6 +19,39 @@ bool SameLayout(const hdfs::HailBlockReplicaInfo& a,
 }
 
 }  // namespace
+
+void SetReplicaBytes(const hdfs::MiniDfs& dfs, std::string bytes,
+                     PreparedWrite* write) {
+  write->bytes = std::move(bytes);
+  write->info.replica_bytes = write->bytes.size();
+  write->chunk_crcs = hdfs::ComputeChunkChecksums(
+      write->bytes, static_cast<uint32_t>(dfs.config().chunk_bytes));
+}
+
+HailTransformParams StoredBlockParams(const hdfs::MiniDfs& dfs,
+                                      const PaxBlock& base) {
+  const double scale = dfs.config().scale_factor;
+  HailTransformParams params;
+  params.varlen_partition_size = dfs.config().format.varlen_partition_size;
+  params.index_partition_logical =
+      dfs.cluster().constants().index_partition_logical;
+  params.logical_fixed_bytes = static_cast<uint64_t>(
+      static_cast<double>(base.FixedPayloadBytes()) * scale);
+  params.logical_varlen_bytes = static_cast<uint64_t>(
+      static_cast<double>(base.VarlenPayloadBytes()) * scale);
+  params.logical_records = static_cast<uint64_t>(
+      static_cast<double>(base.num_records()) * scale);
+  return params;
+}
+
+double CopySeconds(const hdfs::MiniDfs& dfs, int source, int target,
+                   uint64_t logical_read, double cpu, uint64_t logical_write) {
+  const sim::CostModel& dst = dfs.cluster().node(target).cost();
+  double seconds = dfs.cluster().node(source).cost().DiskAccess(logical_read);
+  if (source != target) seconds += dst.NetTransfer(logical_read);
+  seconds += cpu + dst.Crc(logical_write) + dst.DiskAccess(logical_write);
+  return seconds;
+}
 
 bool RepairStillNeeded(const hdfs::MiniDfs& dfs,
                        const hdfs::UnderReplicatedEntry& entry) {
@@ -51,9 +82,9 @@ int PickRepairTarget(const hdfs::MiniDfs& dfs,
   return -1;
 }
 
-Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
-                                     const hdfs::UnderReplicatedEntry& entry,
-                                     int target) {
+Result<PreparedWrite> PrepareRepair(const hdfs::MiniDfs& dfs,
+                                    const hdfs::UnderReplicatedEntry& entry,
+                                    int target) {
   if (target < 0 || target >= dfs.num_datanodes()) {
     return Status::InvalidArgument("repair has no target datanode");
   }
@@ -68,10 +99,9 @@ Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
   }
 
   const double scale = dfs.config().scale_factor;
-  const sim::CostModel& target_cost = dfs.cluster().node(target).cost();
   const hdfs::HailBlockReplicaInfo& want = entry.lost_info;
 
-  PreparedRepair out;
+  PreparedWrite out;
 
   // Preferred path: a surviving replica already has the wanted layout —
   // the repair is a byte copy and the registered Dir_rep record is the
@@ -89,14 +119,11 @@ Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
     HAIL_ASSIGN_OR_RETURN(
         std::string_view raw,
         dfs.datanode(copy_source).ReadBlockRaw(entry.block_id));
-    out.bytes = std::string(raw);
-    out.source_datanode = copy_source;
+    SetReplicaBytes(dfs, std::string(raw), &out);
     const uint64_t logical = static_cast<uint64_t>(
         static_cast<double>(out.bytes.size()) * scale);
-    const sim::CostModel& src_cost = dfs.cluster().node(copy_source).cost();
-    out.seconds = src_cost.DiskAccess(logical);
-    if (copy_source != target) out.seconds += target_cost.NetTransfer(logical);
-    out.seconds += target_cost.Crc(logical) + target_cost.DiskAccess(logical);
+    out.seconds = CopySeconds(dfs, copy_source, target, logical,
+                              /*cpu=*/0.0, logical);
   } else if (want.layout == hdfs::ReplicaLayout::kPax) {
     // Transform path: re-sort any surviving PAX replica to the wanted
     // column, rebuilding the clustered index the way the upload-time
@@ -120,14 +147,10 @@ Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
     HAIL_ASSIGN_OR_RETURN(HailBlockView view, HailBlockView::Open(raw));
     HAIL_ASSIGN_OR_RETURN(PaxBlock base,
                           PaxBlock::Deserialize(view.pax_section()));
-    out.source_datanode = pax_source;
     out.info = want;
     out.info.unclustered_column = -1;
     out.info.unclustered_index_bytes = 0;
 
-    const sim::CostConstants& c = dfs.cluster().constants();
-    const uint64_t logical_records = static_cast<uint64_t>(
-        static_cast<double>(base.num_records()) * scale);
     const uint64_t logical_data = static_cast<uint64_t>(
         static_cast<double>(base.PayloadBytes()) * scale);
     double cpu = 0.0;
@@ -137,38 +160,19 @@ Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
           want.sort_column >= base.schema().num_fields()) {
         return Status::InvalidArgument("lost replica sort column outside schema");
       }
-      const std::vector<uint32_t> perm =
-          ArgSortColumn(base.column(want.sort_column));
-      const PaxBlock sorted = base.PermutedCopy(perm);
-      const ClusteredIndex index = ClusteredIndex::Build(
-          sorted.column(want.sort_column),
-          dfs.config().format.varlen_partition_size);
-      out.bytes = BuildHailBlock(sorted, &index, want.sort_column);
-      out.info.index_bytes = index.SerializedBytes();
-      const FieldType key_type = base.schema().field(want.sort_column).type;
-      cpu += target_cost.SortBlock(
-          logical_records,
-          static_cast<uint64_t>(
-              static_cast<double>(base.FixedPayloadBytes()) * scale),
-          static_cast<uint64_t>(
-              static_cast<double>(base.VarlenPayloadBytes()) * scale),
-          key_type == FieldType::kString);
-      cpu += target_cost.IndexBuild(logical_records);
-      logical_index = LogicalSparseIndexBytes(
-          logical_records, c.index_partition_logical, key_type,
-          /*pointer_bytes=*/4);
+      SortedReplica sorted =
+          BuildSortedReplica(base, want.sort_column,
+                             StoredBlockParams(dfs, base),
+                             dfs.cluster().node(target).cost());
+      SetReplicaBytes(dfs, std::move(sorted.bytes), &out);
+      out.info.index_bytes = sorted.index_bytes;
+      cpu = sorted.cpu_seconds;
+      logical_index = sorted.logical_index_bytes;
     } else {
-      out.bytes = BuildHailBlock(base, nullptr, -1);
+      SetReplicaBytes(dfs, BuildHailBlock(base, nullptr, -1), &out);
     }
-    out.info.replica_bytes = out.bytes.size();
-    const uint64_t logical_out = logical_data + logical_index;
-    const sim::CostModel& src_cost = dfs.cluster().node(pax_source).cost();
-    out.seconds = src_cost.DiskAccess(logical_data);
-    if (pax_source != target) {
-      out.seconds += target_cost.NetTransfer(logical_data);
-    }
-    out.seconds += cpu + target_cost.Crc(logical_out) +
-                   target_cost.DiskAccess(logical_out);
+    out.seconds = CopySeconds(dfs, pax_source, target, logical_data, cpu,
+                              logical_data + logical_index);
   } else {
     // A non-PAX replica (text / binary rows) can only be cloned from a
     // same-layout survivor, and none is left.
@@ -176,9 +180,6 @@ Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
                                std::to_string(entry.block_id));
   }
 
-  out.info.replica_bytes = out.bytes.size();
-  out.chunk_crcs = hdfs::ComputeChunkChecksums(
-      out.bytes, static_cast<uint32_t>(dfs.config().chunk_bytes));
   obs::MetricsRegistry& metrics = dfs.metrics();
   metrics.counter("repair.prepares")->Inc();
   metrics.counter("repair.bytes_prepared")->Add(out.bytes.size());
@@ -187,7 +188,7 @@ Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
 
 Status CommitRepair(hdfs::MiniDfs* dfs,
                     const hdfs::UnderReplicatedEntry& entry, int target,
-                    PreparedRepair prepared) {
+                    PreparedWrite prepared) {
   if (!dfs->cluster().node(target).alive()) {
     return Status::FailedPrecondition("repair target died mid-repair");
   }

@@ -1,23 +1,25 @@
 /// \file re_replication.h
-/// \brief Background repair of lost replicas (HDFS self-healing, HAIL-aware).
+/// \brief Background repair of lost replicas (HDFS self-healing, HAIL-aware),
+/// and the prepared-write record every background replica write shares.
 ///
 /// When a node dies or a replica is reported corrupt, the namenode queues
 /// an UnderReplicatedEntry remembering the *replica-specific* layout that
-/// was lost (sort column, index kind — §3.3's Dir_rep record). Repair
-/// jobs ride the scheduler's maintenance queue (strictly below foreground
-/// work) and re-create that exact layout on a new node:
+/// was lost (sort column, index kind — §3.3's Dir_rep record). Repairs
+/// ride the scheduler's background lane (strictly below foreground work)
+/// and re-create that exact layout on a new node:
 ///
 ///  - when a surviving replica already has the wanted layout, the repair
 ///    is a plain byte copy (source read + network + checksum + write);
 ///  - otherwise a surviving PAX replica is re-sorted to the wanted column
-///    through the same ArgSort/PermutedCopy/ClusteredIndex machinery the
-///    upload pipeline uses, so the repaired cluster answers clustered
-///    index scans exactly like the pre-fault one.
+///    through BuildSortedReplica, the upload pipeline's re-sort, so the
+///    repaired cluster answers clustered index scans exactly like the
+///    pre-fault one.
 ///
-/// Execution mirrors adaptive/reorg.h: PrepareRepair at assignment
-/// (read-only, computes bytes + simulated price), CommitRepair at the
-/// completion event (StoreBlock on the target + namenode bookkeeping,
-/// including revoking the dead node's stale copy).
+/// Repairs and adaptive rewrites (adaptive/reorg.h) split execution the
+/// same way: Prepare at assignment (read-only) yields a PreparedWrite —
+/// bytes plus simulated price — and Commit at the completion event stores
+/// it (here: StoreBlock on the target + namenode bookkeeping, including
+/// revoking the dead node's stale copy).
 
 #pragma once
 
@@ -25,21 +27,41 @@
 #include <string>
 #include <vector>
 
+#include "hail/hail_block.h"
 #include "hdfs/dfs_client.h"
 
 namespace hail {
 
-/// \brief A repair ready to commit, plus its simulated price.
-struct PreparedRepair {
-  std::string bytes;                 // re-created replica bytes
+/// \brief A background replica write ready to commit, plus its simulated
+/// price: a repair here or an adaptive rewrite (adaptive/reorg.h).
+struct PreparedWrite {
+  std::string bytes;                 // new replica bytes
   std::vector<uint32_t> chunk_crcs;  // recomputed checksums
   hdfs::HailBlockReplicaInfo info;   // Dir_rep record to register
-  /// Simulated seconds the repair occupies its maintenance slot
-  /// (source read + network + transform CPU + checksum + target write).
+  /// Stats backfill only: the serialized planner::BlockStats sidecar to
+  /// register at commit (replica bytes stay untouched).
+  std::string stats;
+  /// Simulated seconds the write occupies its background slot, billed on
+  /// the nodes' cost models; the scheduler stretches it by the executing
+  /// node's slow-node factor.
   double seconds = 0.0;
-  /// Surviving replica the repair read from.
-  int source_datanode = -1;
 };
+
+/// Sets `write->bytes`, its Dir_rep size and its per-chunk checksums.
+void SetReplicaBytes(const hdfs::MiniDfs& dfs, std::string bytes,
+                     PreparedWrite* write);
+
+/// The upload-time billing sizes (HailTransformParams) of a block already
+/// stored as `base`, so a background re-sort bills what an upload would.
+HailTransformParams StoredBlockParams(const hdfs::MiniDfs& dfs,
+                                      const PaxBlock& base);
+
+/// Simulated seconds of a replica copy onto `target`: `source` reads
+/// `logical_read` bytes, the network ships them when the nodes differ,
+/// then the target spends `cpu`, checksums and writes `logical_write`
+/// bytes — read [+ net] + ((cpu + crc) + write).
+double CopySeconds(const hdfs::MiniDfs& dfs, int source, int target,
+                   uint64_t logical_read, double cpu, uint64_t logical_write);
 
 /// True when the entry still describes missing data. A node-death loss
 /// whose node revived with the replica intact, or a block that no longer
@@ -57,15 +79,15 @@ int PickRepairTarget(const hdfs::MiniDfs& dfs,
 /// Computes the repair without mutating anything. Returns Unavailable
 /// when no live source replica exists right now (retry later).
 /// Deterministic for a given DFS state.
-Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
-                                     const hdfs::UnderReplicatedEntry& entry,
-                                     int target);
+Result<PreparedWrite> PrepareRepair(const hdfs::MiniDfs& dfs,
+                                    const hdfs::UnderReplicatedEntry& entry,
+                                    int target);
 
 /// Applies a prepared repair: StoreBlock on the target (generation bump +
 /// cache invalidation) and namenode CompleteRepair (register + revoke the
 /// superseded copy). Refuses when the target died since preparation.
 Status CommitRepair(hdfs::MiniDfs* dfs,
                     const hdfs::UnderReplicatedEntry& entry, int target,
-                    PreparedRepair prepared);
+                    PreparedWrite prepared);
 
 }  // namespace hail

@@ -159,9 +159,12 @@ Result<BitmapIndex> BitmapIndex::Deserialize(std::string_view data) {
   if (magic != kBitmapMagic) return Status::Corruption("not a bitmap index");
   BitmapIndex index;
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
-  index.type_ = static_cast<FieldType>(type_byte);
+  HAIL_ASSIGN_OR_RETURN(index.type_, FieldTypeFromByte(type_byte));
   HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
-  HAIL_ASSIGN_OR_RETURN(uint32_t cardinality, r.GetU32());
+  // Each bitmap is a key (u64, or a length-prefixed string) plus a u32
+  // word count.
+  const size_t min_key_bytes = index.type_ == FieldType::kString ? 4 : 8;
+  HAIL_ASSIGN_OR_RETURN(uint32_t cardinality, r.GetCount(min_key_bytes + 4));
   for (uint32_t i = 0; i < cardinality; ++i) {
     Bits* slot = nullptr;
     switch (index.type_) {
@@ -183,8 +186,7 @@ Result<BitmapIndex> BitmapIndex::Deserialize(std::string_view data) {
         break;
       }
     }
-    if (slot == nullptr) return Status::Corruption("bad bitmap key type");
-    HAIL_ASSIGN_OR_RETURN(uint32_t num_words, r.GetU32());
+    HAIL_ASSIGN_OR_RETURN(uint32_t num_words, r.GetCount(8));
     Bits words;
     words.reserve(num_words);
     for (uint32_t w = 0; w < num_words; ++w) {

@@ -76,12 +76,12 @@ Result<ClusteredIndex> ClusteredIndex::Deserialize(std::string_view data) {
     return Status::Corruption("not a clustered index");
   }
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
-  const FieldType type = static_cast<FieldType>(type_byte);
+  HAIL_ASSIGN_OR_RETURN(const FieldType type, FieldTypeFromByte(type_byte));
   HAIL_ASSIGN_OR_RETURN(uint32_t partition_size, r.GetU32());
   if (partition_size == 0) return Status::Corruption("zero partition size");
   ClusteredIndex index(type, partition_size);
   HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
-  HAIL_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  HAIL_ASSIGN_OR_RETURN(uint32_t n, r.GetCount(MinSerializedBytes(type)));
   for (uint32_t i = 0; i < n; ++i) {
     switch (type) {
       case FieldType::kInt32:

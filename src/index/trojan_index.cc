@@ -82,13 +82,14 @@ Result<TrojanIndex> TrojanIndex::Deserialize(std::string_view data) {
   HAIL_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
   if (magic != kTrojanMagic) return Status::Corruption("not a trojan index");
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
-  const FieldType type = static_cast<FieldType>(type_byte);
+  HAIL_ASSIGN_OR_RETURN(const FieldType type, FieldTypeFromByte(type_byte));
   HAIL_ASSIGN_OR_RETURN(uint32_t rows_per_entry, r.GetU32());
   if (rows_per_entry == 0) return Status::Corruption("zero rows per entry");
   TrojanIndex index(type, rows_per_entry);
   HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
   HAIL_ASSIGN_OR_RETURN(index.data_bytes_, r.GetU64());
-  HAIL_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  // Each entry is a key plus a u64 data offset.
+  HAIL_ASSIGN_OR_RETURN(uint32_t n, r.GetCount(MinSerializedBytes(type) + 8));
   index.entry_offsets_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     switch (type) {

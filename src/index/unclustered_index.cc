@@ -70,9 +70,11 @@ Result<UnclusteredIndex> UnclusteredIndex::Deserialize(std::string_view data) {
     return Status::Corruption("not an unclustered index");
   }
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
-  const FieldType type = static_cast<FieldType>(type_byte);
+  HAIL_ASSIGN_OR_RETURN(const FieldType type, FieldTypeFromByte(type_byte));
   UnclusteredIndex index(type);
-  HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
+  // Each entry is a key plus a u32 row id.
+  HAIL_ASSIGN_OR_RETURN(index.num_records_,
+                        r.GetCount(MinSerializedBytes(type) + 4));
   index.row_ids_.reserve(index.num_records_);
   for (uint32_t i = 0; i < index.num_records_; ++i) {
     switch (type) {

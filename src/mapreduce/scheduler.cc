@@ -1,6 +1,7 @@
 #include "mapreduce/scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -147,6 +148,16 @@ bool SlotScheduler::Contended() const {
 
 namespace {
 
+/// A running task becomes a speculation candidate once it has run longer
+/// than this factor times its job's average completed-task duration.
+constexpr double kSpeculativeLagFactor = 1.5;
+/// Read attempts failing with a retryable error (Unavailable dead node,
+/// Corruption) requeue with capped exponential backoff; at the attempt cap
+/// the job fails cleanly instead of requeueing forever.
+constexpr int kMaxTaskAttempts = 4;
+constexpr double kRetryBackoffS = 10.0;
+constexpr double kRetryBackoffMaxS = 60.0;
+
 enum class TaskStatus { kPending, kRunning, kDone };
 
 struct TaskState {
@@ -205,15 +216,29 @@ struct TaskState {
   std::vector<int> upload_pref;
 };
 
-/// One background replica-reorganization task riding on the session's idle
-/// slots (adaptive indexing; see adaptive/adaptive_manager.h).
-struct MaintState {
-  adaptive::MaintenanceTask task;
-  enum class Status { kPending, kRunning, kCommitted, kFailed } status =
-      Status::kPending;
-  /// Rewrite computed at assignment (pre-mutation state), committed at the
-  /// completion event.
-  std::optional<adaptive::PreparedReorg> prepared;
+/// One piece of background work riding the session's idle slots strictly
+/// below foreground work: an adaptive replica rewrite (adaptive/reorg.h)
+/// or the repair of a lost replica (hail/re_replication.h). Both are
+/// prepared at assignment, against the DFS state the reads assigned in the
+/// same event observe, and committed at their completion event.
+struct BackgroundTask {
+  /// Declaration order is drain order: a node runs its repairs before its
+  /// reorgs (durability beats index freshness).
+  enum class Kind { kRepair, kReorg };
+  static constexpr size_t kKinds = 2;
+  Kind kind = Kind::kReorg;
+  adaptive::MaintenanceTask reorg;    // kReorg
+  hdfs::UnderReplicatedEntry repair;  // kRepair
+  /// Node the task runs on: the replica's holder (reorg) or the repair's
+  /// target, -1 while unplaced (no eligible target; retried after the
+  /// next revive).
+  int node = -1;
+  enum class Status { kQueued, kRunning, kCommitted, kDropped } status =
+      Status::kQueued;
+  std::optional<PreparedWrite> prepared;
+  /// Slot occupancy: the prepared price stretched by the node's slow
+  /// factor.
+  double duration = 0.0;
 };
 
 /// Everything a functional read produces; computed inline (serial) or on a
@@ -238,20 +263,6 @@ struct ReadOutcome {
   /// Corrupt replicas the read failed over past; the engine reports them
   /// to the namenode at the completion event (readers are const over DFS).
   std::vector<BadReplicaReport> bad_replicas;
-};
-
-/// One lost/corrupt replica being re-created from a surviving copy
-/// (self-healing). Rides the maintenance queue strictly below foreground
-/// work, mirroring MaintState's prepare-at-assignment/commit-at-completion
-/// split.
-struct RepairState {
-  hdfs::UnderReplicatedEntry entry;
-  /// Datanode the new replica goes to; -1 while unplaced (no eligible
-  /// target — retried after the next revive).
-  int target = -1;
-  enum class Status { kQueued, kRunning, kCommitted, kDropped } status =
-      Status::kQueued;
-  std::optional<PreparedRepair> prepared;
 };
 
 /// Process-wide worker pool for parallel map-task reads. Created lazily,
@@ -343,16 +354,13 @@ struct SessionEngine {
   /// returns it.
   SessionResult result;
 
-  // ---- background maintenance (adaptive replica reorganization) ----
-  std::vector<MaintState> maint;
-  /// Per-node FIFO of maint indexes (a rewrite runs on the datanode that
-  /// holds the replica).
-  std::vector<std::deque<size_t>> maint_by_node;
-
-  // ---- self-healing re-replication (options->self_heal) ----
-  std::vector<RepairState> repairs;
-  /// Per-target-node FIFO of repair indexes.
-  std::vector<std::deque<size_t>> repairs_by_node;
+  // ---- background work (adaptive reorgs, self-healing repairs) ----
+  std::vector<BackgroundTask> background;
+  /// Per-node FIFOs of `background` indexes, one per kind in drain order.
+  std::vector<std::array<std::deque<size_t>, BackgroundTask::kKinds>> lanes;
+  std::deque<size_t>& lane(int node, BackgroundTask::Kind kind) {
+    return lanes[static_cast<size_t>(node)][static_cast<size_t>(kind)];
+  }
 
   // ---- map-task reads and deferred DFS mutations ----
   /// Worker pool for map-task reads; nullptr runs them inline on the
@@ -405,9 +413,18 @@ struct SessionEngine {
   /// Online adaptation (options->online_adaptation): observe one finished
   /// query and enqueue whatever the planner decided, mid-session.
   void ObserveOnline(int j);
-  /// Files planner output into the per-node maintenance queues.
-  void EnqueueMaintTasks(std::vector<adaptive::MaintenanceTask> tasks);
-  void MaintenanceBeat(int node, int assigned);
+  /// Files planner output into the per-node reorg lanes.
+  void EnqueueReorgs(std::vector<adaptive::MaintenanceTask> tasks);
+  /// Out-of-band heartbeat: a freed slot, a revive or new work asks for
+  /// an assignment before the next periodic beat.
+  void Kick(int node);
+  /// Kicks, in node order, every alive node except `skip` whose lanes
+  /// hold queued tasks (of `kind` only, when given): once the cluster is
+  /// idle only a kick reaches them (a dead node's revive kicks it).
+  void KickQueued(std::optional<BackgroundTask::Kind> kind, int skip);
+  /// Assigns queued background tasks to `node`'s free slots within the
+  /// heartbeat quota (`assigned` already used), repairs first.
+  void BackgroundBeat(int node, int assigned);
   void OnTaskComplete(int j, size_t task_id, int attempt, int node,
                       double rr_seconds,
                       const std::shared_ptr<ReadOutcome>& outcome);
@@ -419,9 +436,11 @@ struct SessionEngine {
   void DispatchRead(int j, size_t task_id, int attempt, int node);
   void AssignUpload(int j, size_t task_id, int node);
   void ExecuteUpload(int j, size_t task_id, int node, uint64_t seq);
-  void AssignMaintenance(size_t mid, int node);
-  void OnMaintenanceComplete(size_t mid, int node);
-  void CommitMaintenance(size_t mid);
+  enum class Start { kStarted, kSkipped, kStall };
+  /// Prepares task `id` on `node` and takes a slot for it.
+  Start StartBackground(size_t id, int node);
+  void OnBackgroundComplete(size_t id);
+  void CommitBackground(size_t id);
   // Fault plan execution; callers defer these through dfs_mutations
   // (session-start corruptions apply before the loop starts).
   void ApplyKill(int victim, double revive_after, uint64_t detect_seq);
@@ -429,11 +448,9 @@ struct SessionEngine {
   void ApplyCorrupt(int node, int nth_block);
   // Self-healing re-replication.
   void IngestRepairs();
-  enum class RepairAssign { kAssigned, kSkipped, kStall };
-  RepairAssign AssignRepair(size_t rid, int node);
-  void OnRepairComplete(size_t rid, int node);
-  void CommitRepairTask(size_t rid);
-  void RetargetRepair(size_t rid);
+  /// Places a queued repair on a new target's lane (kicked when the
+  /// cluster is idle); leaves it unplaced when no node is eligible.
+  void RetargetRepair(size_t id);
   ReadOutcome ExecuteRead(int j, RecordReader* rdr, const InputSplit& split,
                           int node) const;
   void FinishRead(const InFlight& read, ReadOutcome outcome);
@@ -693,32 +710,45 @@ void SessionEngine::ObserveOnline(int j) {
   JobExec& job = jobs[static_cast<size_t>(j)];
   if (job.phase != JobExec::Phase::kDone || job.observed) return;
   job.observed = true;
-  const size_t before = maint.size();
   options->adaptive->ObserveJob(job.submitted->spec, AssembleResult(job));
-  EnqueueMaintTasks(options->adaptive->TakeTasks());
-  if (session_done && first_error.ok()) {
-    // The cluster may already be idle: kick the nodes that just got work
-    // (mid-session the periodic beats pick it up).
-    std::vector<int> kick;
-    for (size_t mid = before; mid < maint.size(); ++mid) {
-      kick.push_back(maint[mid].task.datanode);
-    }
-    std::sort(kick.begin(), kick.end());
-    kick.erase(std::unique(kick.begin(), kick.end()), kick.end());
-    for (int node : kick) {
-      events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                           [this, node] { Heartbeat(node); });
-    }
-  }
+  EnqueueReorgs(options->adaptive->TakeTasks());
+  // The cluster may already be idle (mid-session the periodic beats pick
+  // the new work up).
+  if (session_done) KickQueued(BackgroundTask::Kind::kReorg, /*skip=*/-1);
 }
 
-void SessionEngine::EnqueueMaintTasks(
+void SessionEngine::EnqueueReorgs(
     std::vector<adaptive::MaintenanceTask> tasks) {
   const int n = dfs->cluster().num_nodes();
   for (const adaptive::MaintenanceTask& task : tasks) {
     if (task.datanode < 0 || task.datanode >= n) continue;
-    maint_by_node[static_cast<size_t>(task.datanode)].push_back(maint.size());
-    maint.push_back(MaintState{task, MaintState::Status::kPending, {}});
+    lane(task.datanode, BackgroundTask::Kind::kReorg)
+        .push_back(background.size());
+    BackgroundTask t;
+    t.kind = BackgroundTask::Kind::kReorg;
+    t.reorg = task;
+    t.node = task.datanode;
+    background.push_back(std::move(t));
+    ++result.maintenance_scheduled;
+  }
+}
+
+void SessionEngine::Kick(int node) {
+  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
+                       [this, node] { Heartbeat(node); });
+}
+
+void SessionEngine::KickQueued(std::optional<BackgroundTask::Kind> kind,
+                               int skip) {
+  for (size_t n = 0; n < lanes.size(); ++n) {
+    const int node = static_cast<int>(n);
+    if (node == skip || !dfs->cluster().node(node).alive()) continue;
+    bool queued = false;
+    for (size_t k = 0; k < BackgroundTask::kKinds; ++k) {
+      if (kind.has_value() && static_cast<size_t>(*kind) != k) continue;
+      queued = queued || !lanes[n][k].empty();
+    }
+    if (queued) Kick(node);
   }
 }
 
@@ -757,27 +787,19 @@ void SessionEngine::AdmitDependents(int j) {
 void SessionEngine::CheckSessionDone() {
   if (session_done || jobs_finished != jobs.size()) return;
   session_done = true;
-  // The cluster just went idle; remaining maintenance and repairs drain
-  // on the freed slots (every job's reported numbers are already fixed —
+  // The cluster just went idle; remaining background work drains on the
+  // freed slots (every job's reported numbers are already fixed —
   // heartbeats below only ever assign background work).
-  for (size_t n = 0; n < maint_by_node.size(); ++n) {
-    const bool has_work =
-        !maint_by_node[n].empty() ||
-        (n < repairs_by_node.size() && !repairs_by_node[n].empty());
-    if (!has_work) continue;
-    const int idle_node = static_cast<int>(n);
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, idle_node] { Heartbeat(idle_node); });
-  }
+  KickQueued(std::nullopt, /*skip=*/-1);
 }
 
 void SessionEngine::Heartbeat(int node) {
   if (!dfs->cluster().node(node).alive()) return;
   if (session_done) {
-    // Foreground is finished (or aborted). Maintenance may still drain on
-    // the idle cluster below — but never after an error.
+    // Foreground is finished (or aborted). Background work may still
+    // drain on the idle cluster below — but never after an error.
     if (!first_error.ok()) return;
-    MaintenanceBeat(node, /*assigned=*/0);
+    BackgroundBeat(node, /*assigned=*/0);
     return;
   }
   int assigned = 0;
@@ -828,12 +850,11 @@ void SessionEngine::Heartbeat(int node) {
     TrySpeculate(node, &assigned);
   }
   if (!upload_assigned) {
-    // Background maintenance rides strictly behind foreground work: a
-    // reorg task is assigned only while *no* foreground task of any
-    // active job is pending anywhere, within the same per-heartbeat
-    // assignment quota, and only on the node holding the replica.
-    // Foreground tenants are never starved.
-    MaintenanceBeat(node, assigned);
+    // Background work rides strictly behind foreground work: a task is
+    // assigned only while *no* foreground task of any active job is
+    // pending anywhere, within the same per-heartbeat assignment quota,
+    // and only on its own node. Foreground tenants are never starved.
+    BackgroundBeat(node, assigned);
   }
   if (options->preemption &&
       options->policy == SchedulerPolicy::kFair) {
@@ -962,115 +983,158 @@ void SessionEngine::MaybePreempt() {
   result.preempted_slot_seconds += wasted;
   // The freed slot goes to whoever the policy now favors (the starved
   // queue, by construction) on the next beat.
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(node);
 }
 
-void SessionEngine::MaintenanceBeat(int node, int assigned) {
+void SessionEngine::BackgroundBeat(int node, int assigned) {
   if (foreground_pending > 0) return;
-  // Re-replication repairs run before adaptive reorgs (durability beats
-  // index freshness), under the same strict-background gate and quota.
-  if (!repairs_by_node.empty()) {
-    std::deque<size_t>& rq = repairs_by_node[static_cast<size_t>(node)];
-    while (free_slots[static_cast<size_t>(node)] > 0 && !rq.empty() &&
+  for (std::deque<size_t>& queue : lanes[static_cast<size_t>(node)]) {
+    // Mid-session the TaskTracker's per-heartbeat quota applies; once
+    // every job is done the cluster is idle and the lanes drain as fast
+    // as slots allow. Only tasks that take a slot count against it.
+    while (free_slots[static_cast<size_t>(node)] > 0 && !queue.empty() &&
            (session_done || assigned < constants().tasks_per_heartbeat)) {
-      const size_t rid = rq.front();
-      rq.pop_front();
-      const RepairAssign r = AssignRepair(rid, node);
-      if (r == RepairAssign::kStall) break;  // requeued; retry later
-      if (r == RepairAssign::kAssigned) ++assigned;
+      const size_t id = queue.front();
+      queue.pop_front();
+      const Start started = StartBackground(id, node);
+      if (started == Start::kStall) break;  // requeued; retry later
+      if (started == Start::kStarted) ++assigned;
     }
   }
-  if (maint_by_node.empty()) return;
-  std::deque<size_t>& queue = maint_by_node[static_cast<size_t>(node)];
-  // Mid-session the TaskTracker's per-heartbeat quota applies; once every
-  // job is done the cluster is idle and the queue drains as fast as slots
-  // allow.
-  while (free_slots[static_cast<size_t>(node)] > 0 && !queue.empty() &&
-         (session_done || assigned < constants().tasks_per_heartbeat)) {
-    const size_t mid = queue.front();
-    queue.pop_front();
-    AssignMaintenance(mid, node);
-    ++assigned;
-  }
 }
 
-void SessionEngine::AssignMaintenance(size_t mid, int node) {
+SessionEngine::Start SessionEngine::StartBackground(size_t id, int node) {
+  BackgroundTask& t = background[id];
+  if (t.status != BackgroundTask::Status::kQueued) return Start::kSkipped;
+  // The write is computed against the DFS state at assignment time (the
+  // state reads assigned in the same event observe); the mutation waits
+  // for the completion event.
+  switch (t.kind) {
+    case BackgroundTask::Kind::kReorg: {
+      Result<PreparedWrite> prep = adaptive::PrepareReorg(*dfs, t.reorg);
+      if (!prep.ok()) {
+        // A broken task (replica gone, wrong layout) is dropped, not
+        // retried; it must not wedge the lane.
+        t.status = BackgroundTask::Status::kDropped;
+        ++result.maintenance_failed;
+        return Start::kSkipped;
+      }
+      t.prepared.emplace(std::move(*prep));
+      break;
+    }
+    case BackgroundTask::Kind::kRepair: {
+      // A repair whose replica is back (the lost node revived with it
+      // intact, or the file is gone) is abandoned, like a broken one.
+      Result<PreparedWrite> prep =
+          RepairStillNeeded(*dfs, t.repair)
+              ? PrepareRepair(*dfs, t.repair, node)
+              : Status::FailedPrecondition("repair no longer needed");
+      if (prep.status().IsUnavailable()) {
+        // No live source right now (every surviving holder is dead): park
+        // the repair; a later beat — after a revive — tries again.
+        lane(node, t.kind).push_back(id);
+        return Start::kStall;
+      }
+      if (!prep.ok()) {
+        dfs->namenode().AbandonRepair(t.repair);
+        t.status = BackgroundTask::Status::kDropped;
+        ++result.repairs_abandoned;
+        return Start::kSkipped;
+      }
+      t.prepared.emplace(std::move(*prep));
+      break;
+    }
+  }
   if (foreground_pending > 0) {
     // Strict low priority is an invariant, not a hope: record violations
     // (tests pin this at zero) instead of silently absorbing them.
     ++result.maintenance_while_foreground_pending;
   }
-  MaintState& m = maint[mid];
-  // The rewrite is computed against the DFS state at assignment time (the
-  // state reads assigned in the same event observe); the mutation waits
-  // for the completion event.
-  Result<adaptive::PreparedReorg> prep = adaptive::PrepareReorg(*dfs, m.task);
-  if (!prep.ok()) {
-    // A broken task (replica gone, wrong layout) is dropped, not retried;
-    // it must not wedge the queue.
-    m.status = MaintState::Status::kFailed;
-    ++result.maintenance_failed;
-    return;
-  }
-  m.status = MaintState::Status::kRunning;
-  m.prepared.emplace(std::move(*prep));
+  t.status = BackgroundTask::Status::kRunning;
+  t.duration = t.prepared->seconds * options->fault_plan.slow_factor(node);
   free_slots[static_cast<size_t>(node)] -= 1;
-  const double duration = m.prepared->seconds;
-  events.ScheduleAfter(duration,
-                       [this, mid, node] { OnMaintenanceComplete(mid, node); });
+  events.ScheduleAfter(t.duration, [this, id] { OnBackgroundComplete(id); });
+  return Start::kStarted;
 }
 
-void SessionEngine::OnMaintenanceComplete(size_t mid, int node) {
-  MaintState& m = maint[mid];
-  if (m.status != MaintState::Status::kRunning) return;
-  if (!first_error.ok()) {
-    // The session failed; don't mutate DFS state while the queue drains.
-    m.status = MaintState::Status::kPending;
-    m.prepared.reset();
-    return;
-  }
-  if (!dfs->cluster().node(node).alive()) {
-    // Node killed mid-reorg: the prepared bytes are gone with it. Requeue;
-    // after a revive the next session's planner state still wants this
-    // block.
-    m.status = MaintState::Status::kPending;
-    m.prepared.reset();
+void SessionEngine::OnBackgroundComplete(size_t id) {
+  BackgroundTask& t = background[id];
+  if (t.status != BackgroundTask::Status::kRunning) return;
+  const int node = t.node;
+  if (!first_error.ok() || !dfs->cluster().node(node).alive()) {
+    // The session failed (don't mutate DFS state while the queue drains),
+    // or the node died mid-task and the prepared bytes with it.
+    t.status = BackgroundTask::Status::kQueued;
+    t.prepared.reset();
+    if (!first_error.ok()) return;
+    switch (t.kind) {
+      case BackgroundTask::Kind::kReorg:
+        break;  // back to the manager at session end
+      case BackgroundTask::Kind::kRepair:
+        RetargetRepair(id);
+        break;
+    }
     return;
   }
   free_slots[static_cast<size_t>(node)] += 1;
   if (tracing()) {
-    const double duration = m.prepared->seconds;
-    const uint64_t sp =
-        tracer->AddSpan("reorg", "maint", events.Now() - duration, duration,
-                        session_span, /*lane=*/node);
-    tracer->Attr(sp, "block", m.task.block_id);
-    tracer->Attr(sp, "column", static_cast<int64_t>(m.task.column));
-    tracer->Attr(sp, "node", static_cast<int64_t>(node));
+    const bool reorg = t.kind == BackgroundTask::Kind::kReorg;
+    const uint64_t sp = tracer->AddSpan(
+        reorg ? "reorg" : "repair", reorg ? "maint" : "repair",
+        events.Now() - t.duration, t.duration, session_span, /*lane=*/node);
+    switch (t.kind) {
+      case BackgroundTask::Kind::kReorg:
+        tracer->Attr(sp, "block", t.reorg.block_id);
+        tracer->Attr(sp, "column", static_cast<int64_t>(t.reorg.column));
+        tracer->Attr(sp, "node", static_cast<int64_t>(node));
+        break;
+      case BackgroundTask::Kind::kRepair:
+        tracer->Attr(sp, "block", t.repair.block_id);
+        tracer->Attr(sp, "lost_datanode",
+                     static_cast<int64_t>(t.repair.lost_datanode));
+        tracer->Attr(sp, "target", static_cast<int64_t>(node));
+        break;
+    }
   }
-  dfs_mutations.push_back([this, mid] { CommitMaintenance(mid); });
-  // The freed slot asks for more work (maintenance or requeued foreground).
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  dfs_mutations.push_back([this, id] { CommitBackground(id); });
+  // The freed slot asks for more work (background or requeued foreground).
+  Kick(node);
 }
 
-void SessionEngine::CommitMaintenance(size_t mid) {
-  MaintState& m = maint[mid];
-  Status st = adaptive::CommitReorg(dfs, m.task, std::move(*m.prepared));
-  m.prepared.reset();
-  if (st.ok()) {
-    m.status = MaintState::Status::kCommitted;
-    ++result.maintenance_completed;
-    if (m.task.kind == adaptive::MaintenanceTask::Kind::kAddReplica) {
-      ++result.replicas_added;
-    } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kEvictReplica) {
-      ++result.replicas_evicted;
-    } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kBuildStats) {
-      ++result.stats_backfilled;
+void SessionEngine::CommitBackground(size_t id) {
+  BackgroundTask& t = background[id];
+  PreparedWrite prepared = std::move(*t.prepared);
+  t.prepared.reset();
+  switch (t.kind) {
+    case BackgroundTask::Kind::kReorg: {
+      if (!adaptive::CommitReorg(dfs, t.reorg, std::move(prepared)).ok()) {
+        t.status = BackgroundTask::Status::kDropped;
+        ++result.maintenance_failed;
+        return;
+      }
+      t.status = BackgroundTask::Status::kCommitted;
+      ++result.maintenance_completed;
+      using Kind = adaptive::MaintenanceTask::Kind;
+      if (t.reorg.kind == Kind::kAddReplica) {
+        ++result.replicas_added;
+      } else if (t.reorg.kind == Kind::kEvictReplica) {
+        ++result.replicas_evicted;
+      } else if (t.reorg.kind == Kind::kBuildStats) {
+        ++result.stats_backfilled;
+      }
+      return;
     }
-  } else {
-    m.status = MaintState::Status::kFailed;
-    ++result.maintenance_failed;
+    case BackgroundTask::Kind::kRepair:
+      if (!CommitRepair(dfs, t.repair, t.node, std::move(prepared)).ok()) {
+        // The target vanished between completion and commit (the same
+        // event's mutations ran first): place the replica somewhere else.
+        t.status = BackgroundTask::Status::kQueued;
+        RetargetRepair(id);
+        return;
+      }
+      t.status = BackgroundTask::Status::kCommitted;
+      ++result.repairs_completed;
+      return;
   }
 }
 
@@ -1084,126 +1148,24 @@ void SessionEngine::IngestRepairs() {
       ++result.repairs_abandoned;
       continue;
     }
-    RepairState r;
-    r.entry = std::move(e);
-    r.target = PickRepairTarget(*dfs, r.entry);
-    const size_t rid = repairs.size();
-    if (r.target >= 0) {
-      repairs_by_node[static_cast<size_t>(r.target)].push_back(rid);
-      if (session_done) {
-        // Mid-session the periodic beats pick the repair up; after the
-        // last job only an explicit kick reaches the idle target.
-        const int target = r.target;
-        events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                             [this, target] { Heartbeat(target); });
-      }
-    }
-    repairs.push_back(std::move(r));
+    BackgroundTask t;
+    t.kind = BackgroundTask::Kind::kRepair;
+    t.repair = std::move(e);
+    background.push_back(std::move(t));
+    ++result.repairs_scheduled;
+    RetargetRepair(background.size() - 1);
   }
 }
 
-SessionEngine::RepairAssign SessionEngine::AssignRepair(size_t rid,
-                                                        int node) {
-  RepairState& r = repairs[rid];
-  if (r.status != RepairState::Status::kQueued) return RepairAssign::kSkipped;
-  if (foreground_pending > 0) {
-    // Same strict-background invariant as adaptive maintenance: record
-    // violations (tests pin this at zero), never absorb them silently.
-    ++result.maintenance_while_foreground_pending;
-  }
-  if (!RepairStillNeeded(*dfs, r.entry)) {
-    // The lost node revived with its replica intact (or the file is
-    // gone): nothing is missing anymore.
-    dfs->namenode().AbandonRepair(r.entry);
-    r.status = RepairState::Status::kDropped;
-    ++result.repairs_abandoned;
-    return RepairAssign::kSkipped;
-  }
-  Result<PreparedRepair> prep = PrepareRepair(*dfs, r.entry, node);
-  if (!prep.ok()) {
-    if (prep.status().IsUnavailable()) {
-      // No live source right now (every surviving holder is dead): park
-      // the repair; a later beat — after a revive — tries again.
-      repairs_by_node[static_cast<size_t>(node)].push_back(rid);
-      return RepairAssign::kStall;
-    }
-    dfs->namenode().AbandonRepair(r.entry);
-    r.status = RepairState::Status::kDropped;
-    ++result.repairs_abandoned;
-    return RepairAssign::kSkipped;
-  }
-  r.status = RepairState::Status::kRunning;
-  r.prepared.emplace(std::move(*prep));
-  free_slots[static_cast<size_t>(node)] -= 1;
-  const double duration =
-      r.prepared->seconds * options->fault_plan.slow_factor(node);
-  events.ScheduleAfter(duration,
-                       [this, rid, node] { OnRepairComplete(rid, node); });
-  return RepairAssign::kAssigned;
-}
-
-void SessionEngine::OnRepairComplete(size_t rid, int node) {
-  RepairState& r = repairs[rid];
-  if (r.status != RepairState::Status::kRunning) return;
-  if (!first_error.ok()) {
-    // The session failed; don't mutate DFS state while the queue drains.
-    r.status = RepairState::Status::kQueued;
-    r.prepared.reset();
-    r.target = -1;
-    return;
-  }
-  if (!dfs->cluster().node(node).alive()) {
-    // Target died mid-repair: the written bytes died with it. Replace.
-    r.status = RepairState::Status::kQueued;
-    r.prepared.reset();
-    r.target = -1;
-    RetargetRepair(rid);
-    return;
-  }
-  free_slots[static_cast<size_t>(node)] += 1;
-  if (tracing()) {
-    const double duration =
-      r.prepared->seconds * options->fault_plan.slow_factor(node);
-    const uint64_t sp =
-        tracer->AddSpan("repair", "repair", events.Now() - duration, duration,
-                        session_span, /*lane=*/node);
-    tracer->Attr(sp, "block", r.entry.block_id);
-    tracer->Attr(sp, "lost_datanode",
-                 static_cast<int64_t>(r.entry.lost_datanode));
-    tracer->Attr(sp, "target", static_cast<int64_t>(node));
-  }
-  dfs_mutations.push_back([this, rid] { CommitRepairTask(rid); });
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
-}
-
-void SessionEngine::CommitRepairTask(size_t rid) {
-  RepairState& r = repairs[rid];
-  Status st = CommitRepair(dfs, r.entry, r.target, std::move(*r.prepared));
-  r.prepared.reset();
-  if (st.ok()) {
-    r.status = RepairState::Status::kCommitted;
-    ++result.repairs_completed;
-    return;
-  }
-  // The target vanished between completion and commit (the same event's
-  // mutations ran first): place the replica somewhere else.
-  r.status = RepairState::Status::kQueued;
-  r.target = -1;
-  RetargetRepair(rid);
-}
-
-void SessionEngine::RetargetRepair(size_t rid) {
-  RepairState& r = repairs[rid];
-  if (r.status != RepairState::Status::kQueued) return;
-  r.target = PickRepairTarget(*dfs, r.entry);
-  if (r.target < 0) return;  // unplaced; retried after the next revive
-  repairs_by_node[static_cast<size_t>(r.target)].push_back(rid);
-  if (session_done) {
-    const int target = r.target;
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, target] { Heartbeat(target); });
-  }
+void SessionEngine::RetargetRepair(size_t id) {
+  BackgroundTask& t = background[id];
+  if (t.status != BackgroundTask::Status::kQueued) return;
+  t.node = PickRepairTarget(*dfs, t.repair);
+  if (t.node < 0) return;  // unplaced; retried after the next revive
+  lane(t.node, t.kind).push_back(id);
+  // Mid-session the periodic beats pick the repair up; after the last job
+  // only an explicit kick reaches the idle target.
+  if (session_done) Kick(t.node);
 }
 
 void SessionEngine::ApplyKill(int victim, double revive_after,
@@ -1235,23 +1197,15 @@ void SessionEngine::ApplyRevive(int node) {
   // the session ends) and give stalled/unplaced repairs another chance —
   // the revive may have restored their only source, or made this node an
   // eligible target.
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
-  if (options->self_heal) {
-    for (size_t rid = 0; rid < repairs.size(); ++rid) {
-      if (repairs[rid].status == RepairState::Status::kQueued &&
-          repairs[rid].target < 0) {
-        RetargetRepair(rid);
-      }
-    }
-    for (size_t n = 0; n < repairs_by_node.size(); ++n) {
-      if (repairs_by_node[n].empty()) continue;
-      const int rn = static_cast<int>(n);
-      if (rn == node || !dfs->cluster().node(rn).alive()) continue;
-      events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                           [this, rn] { Heartbeat(rn); });
+  Kick(node);
+  for (size_t id = 0; id < background.size(); ++id) {
+    const BackgroundTask& t = background[id];
+    if (t.kind == BackgroundTask::Kind::kRepair &&
+        t.status == BackgroundTask::Status::kQueued && t.node < 0) {
+      RetargetRepair(id);
     }
   }
+  KickQueued(BackgroundTask::Kind::kRepair, /*skip=*/node);
 }
 
 void SessionEngine::ApplyCorrupt(int node, int nth_block) {
@@ -1334,7 +1288,7 @@ void SessionEngine::AssignTask(int j, size_t task_id, int node) {
 
 void SessionEngine::TrySpeculate(int node, int* assigned) {
   // A straggler is a running task whose elapsed time exceeds
-  // speculative_lag_factor times its job's average completed-task
+  // kSpeculativeLagFactor times its job's average completed-task
   // duration. One duplicate per task, never on the task's own node;
   // most-overdue first, ties to the lowest (job, task) — all decided on
   // event-thread state, so serial and parallel pick identically.
@@ -1358,7 +1312,7 @@ void SessionEngine::TrySpeculate(int node, int* assigned) {
     const double avg = constants().task_setup_s +
                        done_rr / static_cast<double>(done_count) +
                        constants().task_cleanup_s;
-    const double threshold = options->speculative_lag_factor * avg;
+    const double threshold = kSpeculativeLagFactor * avg;
     for (size_t i = 0; i < job.tasks.size(); ++i) {
       const TaskState& t = job.tasks[i];
       if (t.status != TaskStatus::kRunning || t.speculated ||
@@ -1474,8 +1428,7 @@ void SessionEngine::ExecuteUpload(int j, size_t task_id, int node,
     scheduler.OnTaskFinished(j);
     task.status = TaskStatus::kDone;
     FailJob(j, std::move(st));
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, node] { Heartbeat(node); });
+    Kick(node);
     return;
   }
   // The ingest runs inside a task wrapper: it holds its slot for the
@@ -1556,8 +1509,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     if (dfs->cluster().node(loser_node).alive()) {
       free_slots[static_cast<size_t>(loser_node)] += 1;
       scheduler.OnTaskFinished(j);
-      events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                           [this, loser_node] { Heartbeat(loser_node); });
+      Kick(loser_node);
     }
     return;
   }
@@ -1589,8 +1541,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     if (!dfs->cluster().node(node).alive()) return;  // slot died with it
     free_slots[static_cast<size_t>(node)] += 1;
     scheduler.OnTaskFinished(j);
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, node] { Heartbeat(node); });
+    Kick(node);
     return;
   }
   if (session_done) return;
@@ -1688,8 +1639,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
   }
   // Out-of-band heartbeat: the freed slot asks for work shortly after
   // completion instead of waiting for the periodic beat.
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(node);
 }
 
 void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
@@ -1709,8 +1659,7 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   }
   free_slots[static_cast<size_t>(node)] += 1;
   scheduler.OnTaskFinished(j);
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(node);
   if (task.spec_attempt != 0) {
     // The sibling attempt lives on as the sole attempt of the task.
     if (attempt == task.attempt) {
@@ -1726,7 +1675,7 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   // with capped exponential backoff; anything else — and the attempt cap
   // — fails the job cleanly instead of requeueing forever.
   const bool retryable = st.IsUnavailable() || st.IsCorruption();
-  if (!retryable || task.reschedules + 1 >= options->max_task_attempts) {
+  if (!retryable || task.reschedules + 1 >= kMaxTaskAttempts) {
     task.status = TaskStatus::kDone;  // attempt retired; job is over
     FailJob(j, st);
     return;
@@ -1735,9 +1684,9 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   task.awaiting_backoff = true;
   task.reschedules += 1;
   ++result.task_retries;
-  double backoff = options->retry_backoff_s;
+  double backoff = kRetryBackoffS;
   for (int i = 1; i < task.reschedules; ++i) backoff *= 2.0;
-  backoff = std::min(backoff, options->retry_backoff_max_s);
+  backoff = std::min(backoff, kRetryBackoffMaxS);
   events.ScheduleAfter(backoff, [this, j, task_id] {
     JobExec& job2 = jobs[static_cast<size_t>(j)];
     TaskState& t = job2.tasks[task_id];
@@ -1761,14 +1710,12 @@ void SessionEngine::OnFailureDetected(int node) {
     dfs->namenode().EnqueueLostNodeReplicas(node);
     IngestRepairs();
     // Queued repairs that were targeted at the dead node need a new home.
-    if (!repairs_by_node.empty()) {
-      std::deque<size_t>& rq = repairs_by_node[static_cast<size_t>(node)];
-      while (!rq.empty()) {
-        const size_t rid = rq.front();
-        rq.pop_front();
-        repairs[rid].target = -1;
-        RetargetRepair(rid);
-      }
+    std::deque<size_t>& queue = lane(node, BackgroundTask::Kind::kRepair);
+    while (!queue.empty()) {
+      const size_t id = queue.front();
+      queue.pop_front();
+      background[id].node = -1;
+      RetargetRepair(id);
     }
   }
   if (session_done) return;
@@ -1957,7 +1904,7 @@ JobResult SessionEngine::AssembleResult(const JobExec& job) const {
   // Background maintenance is session-scoped; every job reports the
   // session totals (a single-job session reads exactly like the old
   // single-job runner).
-  r.maintenance_scheduled = static_cast<uint32_t>(maint.size());
+  r.maintenance_scheduled = result.maintenance_scheduled;
   r.maintenance_completed = result.maintenance_completed;
   r.maintenance_failed = result.maintenance_failed;
   return r;
@@ -2089,15 +2036,15 @@ Result<SessionResult> ClusterSession::Run() {
     return Status::FailedPrecondition("no alive TaskTrackers");
   }
 
-  // Adaptive maintenance: take every pending replica rewrite; they run on
-  // slots with no foreground work and whatever does not finish goes back.
-  eng.maint_by_node.resize(static_cast<size_t>(cluster.num_nodes()));
-  eng.repairs_by_node.resize(static_cast<size_t>(cluster.num_nodes()));
-  // Losses recorded by earlier sessions wait in the namenode; a
-  // self-healing session picks them up at the boundary.
+  // Background work runs on slots with no foreground work; whatever does
+  // not finish goes back at session end. Losses recorded by earlier
+  // sessions wait in the namenode (a self-healing session picks them up
+  // at the boundary); the adaptive manager hands over every pending
+  // replica rewrite.
+  eng.lanes.resize(static_cast<size_t>(cluster.num_nodes()));
   eng.IngestRepairs();
   if (options_.adaptive != nullptr) {
-    eng.EnqueueMaintTasks(options_.adaptive->TakeTasks());
+    eng.EnqueueReorgs(options_.adaptive->TakeTasks());
   }
 
   // Activation + deferred-admission events. For time-0 jobs the admission
@@ -2187,27 +2134,29 @@ Result<SessionResult> ClusterSession::Run() {
     eng.tracer->SetEnd(eng.session_span, eng.events.Now());
   }
 
-  // Unfinished maintenance goes back to the manager *before* any error
-  // exit — a failed session must not lose queued reorganization work.
-  if (options_.adaptive != nullptr) {
-    std::vector<adaptive::MaintenanceTask> unfinished;
-    for (const MaintState& m : eng.maint) {
-      if (m.status == MaintState::Status::kPending ||
-          m.status == MaintState::Status::kRunning) {
-        unfinished.push_back(m.task);
-      }
+  // Unfinished background work goes back *before* any error exit — a
+  // failed session must not lose queued reorganization work, and a lost
+  // replica stays on the namenode's books until some session re-creates
+  // it.
+  std::vector<adaptive::MaintenanceTask> unfinished;
+  for (const BackgroundTask& t : eng.background) {
+    if (t.status != BackgroundTask::Status::kQueued &&
+        t.status != BackgroundTask::Status::kRunning) {
+      continue;
     }
+    switch (t.kind) {
+      case BackgroundTask::Kind::kReorg:
+        unfinished.push_back(t.reorg);
+        break;
+      case BackgroundTask::Kind::kRepair:
+        dfs_->namenode().RequeueUnderReplicated(t.repair);
+        break;
+    }
+  }
+  if (options_.adaptive != nullptr) {
     options_.adaptive->ReturnUnfinished(std::move(unfinished));
     options_.adaptive->NoteCompleted(eng.result.maintenance_completed,
                                      eng.result.maintenance_failed);
-  }
-  // Unserviced repairs go back to the namenode *before* any error exit —
-  // a lost replica stays on the books until some session re-creates it.
-  for (const RepairState& r : eng.repairs) {
-    if (r.status == RepairState::Status::kQueued ||
-        r.status == RepairState::Status::kRunning) {
-      dfs_->namenode().RequeueUnderReplicated(r.entry);
-    }
   }
   HAIL_RETURN_NOT_OK(eng.first_error);
   for (const JobExec& job : eng.jobs) {
@@ -2273,8 +2222,6 @@ Result<SessionResult> ClusterSession::Run() {
     out.queues[q].latency_p99_s = pct(0.99);
     out.slo_violations_total += out.queues[q].slo_violations;
   }
-  out.maintenance_scheduled = static_cast<uint32_t>(eng.maint.size());
-  out.repairs_scheduled = static_cast<uint32_t>(eng.repairs.size());
   out.under_replicated_remaining = dfs_->namenode().under_replicated_count();
 
   // Mirror the session's counters into the cluster's unified registry

@@ -21,10 +21,13 @@
 ///  - upload jobs occupy map slots too: each source file is one slot task
 ///    whose simulated duration comes from the real upload pipeline, so
 ///    ingest and queries genuinely contend;
-///  - adaptive maintenance stays strictly low priority across ALL tenants:
-///    a replica rewrite is assigned only when no foreground task of any
-///    active job is pending anywhere (SessionResult records the invariant
-///    counter, which must stay 0).
+///  - background work stays strictly low priority across ALL tenants: the
+///    adaptive manager's replica rewrites and self-healing repairs share
+///    one per-node lane (repairs first) whose tasks are assigned only when
+///    no foreground task of any active job is pending anywhere
+///    (SessionResult records the invariant counter, which must stay 0).
+///    Each task is prepared at assignment, holds its slot for its price
+///    times the node's FaultPlan slow factor, and commits at completion.
 ///
 /// Determinism: every scheduling decision is a pure function of the event
 /// order — policy state (queue deficits, pending counts) mutates only on
@@ -233,23 +236,15 @@ struct SessionOptions {
   /// progress fraction, with optional revive), per-(node, block) replica
   /// corruption, slow-node factors.
   sim::FaultPlan fault_plan;
-  /// Re-replicate lost/corrupt replicas through the maintenance queue
+  /// Re-replicate lost/corrupt replicas through the background lane
   /// (strictly below foreground work). Opt-in: sessions that inject
   /// faults enable it; corrupt replicas are revoked either way.
   bool self_heal = false;
   /// Launch duplicate attempts for straggling tasks (first completion
-  /// wins, deterministically). Opt-in, for plans with slow nodes.
+  /// wins, deterministically): a running task becomes a candidate once it
+  /// has run 1.5x its job's average completed-task duration. Opt-in, for
+  /// plans with slow nodes.
   bool speculative_execution = false;
-  /// A running task becomes a speculation candidate once it has been
-  /// running longer than this factor times the average completed-task
-  /// duration of its job.
-  double speculative_lag_factor = 1.5;
-  /// Read attempts failing with a retryable error (Unavailable dead
-  /// node, Corruption) requeue with capped exponential backoff; at the
-  /// cap the job fails cleanly instead of requeueing forever.
-  int max_task_attempts = 4;
-  double retry_backoff_s = 10.0;
-  double retry_backoff_max_s = 60.0;
   /// Feed each completed query to the adaptive manager as it finishes
   /// (instead of only in the session epilogue) so the planner can react —
   /// e.g. add hot-block replicas — while the storm is still running. The

@@ -164,22 +164,15 @@ Result<BlockStats> BlockStats::Deserialize(std::string_view data) {
   BlockStats stats;
   HAIL_ASSIGN_OR_RETURN(stats.num_records, r.GetU32());
   HAIL_ASSIGN_OR_RETURN(stats.num_bad_records, r.GetU32());
-  HAIL_ASSIGN_OR_RETURN(uint32_t num_columns, r.GetU32());
-  // The sidecar is unchecksummed namenode metadata: bound every count by
-  // the bytes left (a column takes at least its type and valid bytes)
-  // before allocating for it.
-  if (num_columns > r.remaining() / 2) {
-    return Status::Corruption("block-stats column count exceeds sidecar");
-  }
+  // The sidecar is unchecksummed namenode metadata: every count is bounded
+  // by the bytes left before anything is allocated for it (a column takes
+  // at least its type and valid bytes).
+  HAIL_ASSIGN_OR_RETURN(uint32_t num_columns, r.GetCount(2));
   stats.columns.resize(num_columns);
   for (uint32_t i = 0; i < num_columns; ++i) {
     ColumnStats& c = stats.columns[i];
     HAIL_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
-    if (type > static_cast<uint8_t>(FieldType::kDate)) {
-      return Status::Corruption("bad block-stats field type " +
-                                std::to_string(type));
-    }
-    c.type = static_cast<FieldType>(type);
+    HAIL_ASSIGN_OR_RETURN(c.type, FieldTypeFromByte(type));
     HAIL_ASSIGN_OR_RETURN(uint8_t valid, r.GetU8());
     c.valid = valid != 0;
     if (!c.valid) continue;
@@ -188,13 +181,8 @@ Result<BlockStats> BlockStats::Deserialize(std::string_view data) {
     HAIL_ASSIGN_OR_RETURN(c.value_bytes, r.GetU64());
     HAIL_ASSIGN_OR_RETURN(c.min_value, GetValue(&r, c.type));
     HAIL_ASSIGN_OR_RETURN(c.max_value, GetValue(&r, c.type));
-    HAIL_ASSIGN_OR_RETURN(uint32_t buckets, r.GetU32());
-    // A bound takes its fixed width, or a 4-byte length prefix.
-    const size_t min_bound_bytes =
-        c.type == FieldType::kString ? 4 : FieldTypeWidth(c.type);
-    if (buckets > r.remaining() / min_bound_bytes) {
-      return Status::Corruption("block-stats bucket count exceeds sidecar");
-    }
+    HAIL_ASSIGN_OR_RETURN(uint32_t buckets,
+                          r.GetCount(MinSerializedBytes(c.type)));
     c.bucket_bounds.reserve(buckets);
     for (uint32_t b = 0; b < buckets; ++b) {
       HAIL_ASSIGN_OR_RETURN(Value bound, GetValue(&r, c.type));

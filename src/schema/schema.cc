@@ -22,6 +22,13 @@ std::string_view FieldTypeName(FieldType type) {
   return "?";
 }
 
+Result<FieldType> FieldTypeFromByte(uint8_t byte) {
+  if (byte > static_cast<uint8_t>(FieldType::kDate)) {
+    return Status::Corruption("bad field type byte " + std::to_string(byte));
+  }
+  return static_cast<FieldType>(byte);
+}
+
 size_t FieldTypeWidth(FieldType type) {
   switch (type) {
     case FieldType::kInt32:

@@ -35,6 +35,15 @@ size_t FieldTypeWidth(FieldType type);
 /// True for types whose values have a constant byte width.
 inline bool IsFixedSize(FieldType type) { return type != FieldType::kString; }
 
+/// Decodes a serialised FieldType byte; Corruption outside the enum.
+Result<FieldType> FieldTypeFromByte(uint8_t byte);
+
+/// Fewest bytes one serialised value takes: its fixed width, or the u32
+/// length prefix of a STRING.
+inline size_t MinSerializedBytes(FieldType type) {
+  return IsFixedSize(type) ? FieldTypeWidth(type) : 4;
+}
+
 /// \brief One attribute: a name plus a type.
 struct Field {
   std::string name;

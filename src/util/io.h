@@ -93,6 +93,17 @@ class ByteReader {
     return v;
   }
 
+  /// A u32 element count, bounded by the bytes left: each element takes
+  /// at least \p min_element_bytes (> 0), so a forged count fails here
+  /// instead of sizing an allocation or a loop.
+  Result<uint32_t> GetCount(size_t min_element_bytes) {
+    HAIL_ASSIGN_OR_RETURN(uint32_t n, GetU32());
+    if (n > remaining() / min_element_bytes) {
+      return Status::Corruption("element count exceeds the bytes left");
+    }
+    return n;
+  }
+
   /// Length-prefixed (u32) byte string; the view aliases the input buffer.
   Result<std::string_view> GetLengthPrefixed() {
     HAIL_ASSIGN_OR_RETURN(uint32_t len, GetU32());

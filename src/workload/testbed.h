@@ -1,14 +1,15 @@
 /// \file testbed.h
 /// \brief Shared experiment scaffolding for tests, benches and examples.
 ///
-/// A Testbed bundles a simulated cluster, a MiniDfs, and per-node source
-/// datasets, and exposes the three systems' ingestion paths plus query
+/// A Testbed bundles a simulated cluster, a MiniDfs, and one generated
+/// source dataset that every node uploads, and exposes the three systems' ingestion paths plus query
 /// execution. Benches configure it at paper scale (20 GB/node logical via
 /// the scale model); tests at toy scale.
 
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,6 @@ struct TestbedConfig {
   uint32_t blocks_per_node = 320;
   double hardware_variance = 0.0;
   uint64_t seed = 42;
-  /// One generated text shared by all nodes (memory saver); set false to
-  /// give each node distinct rows.
-  bool share_text_across_nodes = true;
   /// Serialise PAX blocks as format v3 (encoded minipages) cluster-wide.
   /// Off by default so golden byte streams are unchanged.
   bool encode_blocks = false;
@@ -78,7 +76,7 @@ class Testbed {
   Result<hadooppp::HadoopPPUploadReport> UploadHadoopPP(
       const std::string& dfs_path, int index_column);
 
-  /// Frees the generated source texts (after upload, to cap memory).
+  /// Frees the generated source text (after upload, to cap memory).
   void FreeSourceTexts();
 
   /// Runs one catalogue query as a MapReduce job.
@@ -96,7 +94,8 @@ class Testbed {
   std::unique_ptr<sim::SimCluster> cluster_;
   std::unique_ptr<hdfs::MiniDfs> dfs_;
   Schema schema_;
-  std::vector<std::string> texts_;  // size 1 when shared
+  /// The generated dataset; every node uploads this same text.
+  std::optional<std::string> text_;
 };
 
 /// Exact textual dump of every simulated number in a JobResult — doubles

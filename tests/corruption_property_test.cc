@@ -9,17 +9,28 @@
 /// a well-formed block); the end-to-end guarantee that NO flip is ever
 /// silently served comes from the datanode CRC path, asserted for every
 /// flip offset against stored checksums.
+///
+/// The index and block-stats parsers get a table of hostile inputs: a
+/// forged element count, a field-type byte outside the enum, and every
+/// truncation of a real serialisation. Each must return an error without
+/// throwing (a forged count used to size an allocation or a loop).
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "hail/hail_block.h"
 #include "hdfs/dfs_client.h"
 #include "hdfs/packet.h"
+#include "index/bitmap_index.h"
 #include "index/clustered_index.h"
+#include "index/trojan_index.h"
+#include "index/unclustered_index.h"
 #include "layout/pax_block.h"
+#include "planner/block_stats.h"
 #include "util/random.h"
 
 namespace hail {
@@ -181,6 +192,86 @@ TEST_P(CorruptionPropertyTest, EveryStoredBitFlipFailsCrcVerification) {
       dn.StoreBlock(id, bytes.substr(0, len), crcs);
       EXPECT_TRUE(dn.ReadBlockVerified(id, chunk).status().IsCorruption())
           << "truncation to " << len << " not caught";
+    }
+  }
+}
+
+/// One serialised index format: real bytes, the offsets of its u32
+/// element counts and of its field-type byte, and its parser.
+struct ParserCase {
+  const char* name;
+  std::string bytes;
+  std::vector<size_t> count_offsets;
+  size_t type_offset;
+  std::function<Status(std::string_view)> parse;
+};
+
+std::vector<ParserCase> ParserCases(uint64_t seed) {
+  PaxBlock block = MakeBlock(seed, /*encoded=*/false);
+  const PaxBlock unsorted = block;
+  block.SortByColumn(1);
+  const ColumnVector& dates = block.column(1);
+  std::vector<uint64_t> row_offsets(dates.size());
+  for (size_t r = 0; r < row_offsets.size(); ++r) row_offsets[r] = 16 * r;
+  // Offsets follow each Serialize(): a u32 magic, then the type byte.
+  return {
+      {"clustered", ClusteredIndex::Build(dates, 8).Serialize(), {13}, 4,
+       [](std::string_view b) { return ClusteredIndex::Deserialize(b).status(); }},
+      {"unclustered",
+       UnclusteredIndex::Build(unsorted.column(0)).Serialize(), {5}, 4,
+       [](std::string_view b) {
+         return UnclusteredIndex::Deserialize(b).status();
+       }},
+      {"trojan",
+       TrojanIndex::Build(dates, row_offsets, 16 * row_offsets.size())
+           .Serialize(),
+       {21}, 4,
+       [](std::string_view b) { return TrojanIndex::Deserialize(b).status(); }},
+      // Date keys serialise as u64, so the first bitmap's word count sits
+      // at a fixed offset after the cardinality.
+      {"bitmap", BitmapIndex::Build(unsorted.column(1)).Serialize(), {9, 21},
+       4,
+       [](std::string_view b) { return BitmapIndex::Deserialize(b).status(); }},
+      {"block_stats", planner::BlockStats::Build(unsorted).Serialize(), {13},
+       17,
+       [](std::string_view b) {
+         return planner::BlockStats::Deserialize(b).status();
+       }},
+  };
+}
+
+std::string WithU32(std::string bytes, size_t offset, uint32_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+TEST_P(CorruptionPropertyTest, HostileIndexBytesReturnErrorsWithoutThrowing) {
+  for (const ParserCase& c : ParserCases(GetParam())) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.parse(c.bytes).ok());
+    std::vector<std::string> hostile;
+    for (size_t offset : c.count_offsets) {
+      // A forged count, alone in a short header and inside real bytes.
+      hostile.push_back(WithU32(c.bytes.substr(0, offset + 4), offset,
+                                0xFFFFFFFFu));
+      hostile.push_back(WithU32(c.bytes, offset, 0xFFFFFFFFu));
+    }
+    const size_t n = hostile.size();
+    for (size_t i = 0; i < n; ++i) {
+      hostile.push_back(hostile[i]);
+      hostile.back()[c.type_offset] = 9;  // no such FieldType
+    }
+    std::string bad_type = c.bytes;
+    bad_type[c.type_offset] = 9;
+    hostile.push_back(bad_type);
+    for (size_t len = 0; len < c.bytes.size(); ++len) {
+      hostile.push_back(c.bytes.substr(0, len));
+    }
+    for (size_t i = 0; i < hostile.size(); ++i) {
+      Status st;
+      EXPECT_NO_THROW(st = c.parse(hostile[i])) << "input " << i;
+      EXPECT_FALSE(st.ok()) << "silent success on input " << i << " ("
+                            << hostile[i].size() << " bytes)";
     }
   }
 }

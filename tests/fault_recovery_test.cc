@@ -1,8 +1,9 @@
 /// \file fault_recovery_test.cc
 /// \brief Self-healing storage under a deterministic FaultPlan:
 /// corrupt-replica failover (CRC -> Corruption -> next replica -> report),
-/// background re-replication riding the maintenance queue, task retry with
-/// capped backoff, speculative execution, and the serial == parallel
+/// background re-replication riding the maintenance queue, slow nodes
+/// stretching background tasks, task retry with capped backoff,
+/// speculative execution, and the serial == parallel
 /// bit-identity guarantee under kills + corruption + slow nodes.
 ///
 /// Error-model unit tests (dead node -> Unavailable, CRC mismatch ->
@@ -12,15 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "adaptive/adaptive_manager.h"
 #include "hail/re_replication.h"
 #include "hdfs/dfs_client.h"
 #include "hdfs/packet.h"
 #include "mapreduce/job_runner.h"
 #include "mapreduce/scheduler.h"
+#include "obs/trace.h"
 #include "sim/fault_plan.h"
 #include "workload/testbed.h"
 #include "workload/uservisits.h"
@@ -289,6 +294,56 @@ TEST(FaultRecoveryTest, RepairedReplicaServesClusteredIndexScans) {
 }
 
 // ---------------------------------------------------------------------------
+// Slow nodes stretch every background task, adaptive reorgs included
+// ---------------------------------------------------------------------------
+
+/// Durations of the "reorg" spans on `lane`, keyed by their block attr,
+/// from a stats-backfill session (one Bob-Q1 job) under `plan`.
+std::map<std::string, double> BackfillReorgDurations(
+    const sim::FaultPlan& plan, int lane) {
+  TestbedConfig config = SmallConfig();
+  config.build_stats = false;  // every block needs a stats backfill
+  Testbed bed(config);
+  bed.LoadUserVisits();
+  EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
+  adaptive::AdaptiveManager manager(&bed.dfs(), bed.schema(), "/d");
+  EXPECT_GT(manager.RequestStatsBackfill(), 0u);
+
+  obs::Tracer tracer;
+  RunOptions opt;
+  opt.adaptive = &manager;
+  opt.fault_plan = plan;
+  opt.tracer = &tracer;
+  JobRunner runner(&bed.dfs());
+  auto result = runner.Run(QueryJob(bed, "/d", workload::BobQueries()[0]), opt);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+
+  std::map<std::string, double> durations;
+  for (const obs::TraceSpan& span : tracer.spans()) {
+    if (span.name != "reorg" || span.lane != lane) continue;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "block") durations[value] = span.duration;
+    }
+  }
+  return durations;
+}
+
+TEST(FaultRecoveryTest, SlowNodeStretchesReorgsLikeEveryOtherTask) {
+  sim::FaultPlan slow;
+  slow.slow_nodes.push_back({.node = 1, .factor = 3.0});
+  const std::map<std::string, double> normal =
+      BackfillReorgDurations(sim::FaultPlan{}, /*lane=*/1);
+  const std::map<std::string, double> slowed =
+      BackfillReorgDurations(slow, /*lane=*/1);
+  ASSERT_FALSE(normal.empty());
+  ASSERT_EQ(slowed.size(), normal.size());
+  for (const auto& [block, seconds] : normal) {
+    ASSERT_EQ(slowed.count(block), 1u) << "block " << block;
+    EXPECT_EQ(slowed.at(block), 3.0 * seconds) << "block " << block;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Task retry with capped backoff: every replica corrupt -> clean failure
 // ---------------------------------------------------------------------------
 
@@ -308,14 +363,17 @@ TEST(FaultRecoveryTest, RetriesAreCappedWhenNoReplicaIsReadable) {
     ASSERT_TRUE(bed.dfs().InjectCorruption(node, target.block_id).ok());
   }
 
-  SessionOptions opt;
-  opt.max_task_attempts = 4;
-  ClusterSession session(&bed.dfs(), opt);
+  ClusterSession session(&bed.dfs(), SessionOptions{});
   session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
   auto sr = session.Run();
   ASSERT_TRUE(sr.ok()) << sr.status().ToString();
   EXPECT_FALSE(sr->jobs[0].ok());
   EXPECT_EQ(sr->task_retries, 3u);  // 1 initial + 3 retries = 4 attempts
+  // The failing task waits out backoffs of 10, 20 and 40 s between its
+  // attempts; the makespan pins that schedule bit for bit.
+  char makespan[32];
+  std::snprintf(makespan, sizeof(makespan), "%.17g", sr->session_seconds);
+  EXPECT_STREQ(makespan, "87.099999999999994");
   // Each corrupt read was reported: the replicas are revoked and queued.
   EXPECT_GE(bed.dfs().namenode().under_replicated_count(), 3u);
 }
