@@ -25,7 +25,6 @@
 #include "query/predicate.h"
 #include "query/vectorized.h"
 #include "util/random.h"
-#include "workload/uservisits.h"
 
 namespace hail {
 namespace {
@@ -176,38 +175,6 @@ ScanResult VectorizedScan(const PaxBlockView& view, const Predicate& pred) {
   return result;
 }
 
-/// Filtered scan over a UserVisits-shaped block: compiled filter on the
-/// (possibly encoded) view, then per-qualifying-row projection of
-/// adRevenue + countryCode through the encoding-aware accessors. The same
-/// code runs on the plain and the v3 view, so timing differences isolate
-/// scan-on-compressed.
-ScanResult UserVisitsFilteredScan(const PaxBlockView& view,
-                                  const Predicate& pred) {
-  ScanResult result;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    auto compiled = CompiledPredicate::Compile(pred, view.schema());
-    if (!compiled.ok()) return result;
-    SelectionVector sel;
-    if (!compiled->FilterBlock(view, RowRange{0, view.num_records()}, &sel)
-             .ok()) {
-      return result;
-    }
-    uint64_t digest = 0;
-    for (uint32_t r : sel.rows()) {
-      auto rev = view.GetAnyValue(workload::kAdRevenue, r);
-      auto cc = view.GetAnyValue(workload::kCountryCode, r);
-      if (!rev.ok() || !cc.ok()) return result;
-      digest = DigestValue(digest, *rev);
-      digest = DigestValue(digest, *cc);
-    }
-    result.qualifying = sel.size();
-    result.digest = digest;
-    result.best_ms = std::min(result.best_ms, MsSince(start));
-  }
-  return result;
-}
-
 }  // namespace
 }  // namespace hail
 
@@ -308,73 +275,6 @@ int main(int argc, char** argv) {
   std::printf("cursor decode steps == n: %s (O(n) total access)\n",
               linear ? "yes" : "NO");
 
-  // ---- 3. scan-on-compressed (format v3), UserVisits-shaped block ----
-  constexpr uint32_t kUvRows = 60000;
-  workload::UserVisitsConfig uv_cfg;
-  uv_cfg.rows = kUvRows;
-  uv_cfg.seed = 7;
-  const Schema uv_schema = workload::UserVisitsSchema();
-  const std::string uv_text = workload::GenerateUserVisitsText(uv_cfg);
-  BlockFormatOptions plain_opts;
-  plain_opts.varlen_partition_size = kPartition;
-  BlockFormatOptions enc_opts = plain_opts;
-  enc_opts.enable_encoding = true;
-  PaxBlock uv_plain_block =
-      BuildPaxBlockFromText(uv_schema, uv_text, plain_opts);
-  PaxBlock uv_enc_block = BuildPaxBlockFromText(uv_schema, uv_text, enc_opts);
-  const std::string uv_plain_bytes = uv_plain_block.Serialize();
-  const std::string uv_enc_bytes = uv_enc_block.Serialize();
-  auto uv_plain_or = PaxBlockView::Open(uv_plain_bytes);
-  auto uv_enc_or = PaxBlockView::Open(uv_enc_bytes);
-  if (!uv_plain_or.ok() || !uv_enc_or.ok()) {
-    std::fprintf(stderr, "uservisits open failed\n");
-    return 1;
-  }
-  const double stored_plain =
-      static_cast<double>(uv_plain_or->stored_payload_bytes());
-  const double stored_enc =
-      static_cast<double>(uv_enc_or->stored_payload_bytes());
-  const double compression_ratio = stored_plain / stored_enc;
-
-  // Equality on the dictionary-encoded low-cardinality countryCode column
-  // (~10% selectivity): the encoded path compares 1-byte codes against one
-  // pre-resolved dictionary code; the plain path walks varlen strings.
-  auto uv_ann = ParseAnnotation(uv_schema, "@6 = 'DEU'", "");
-  if (!uv_ann.ok()) {
-    std::fprintf(stderr, "annotation: %s\n",
-                 uv_ann.status().ToString().c_str());
-    return 1;
-  }
-  const ScanResult uv_plain_scan =
-      UserVisitsFilteredScan(*uv_plain_or, uv_ann->filter);
-  const ScanResult uv_enc_scan =
-      UserVisitsFilteredScan(*uv_enc_or, uv_ann->filter);
-  if (uv_plain_scan.qualifying != uv_enc_scan.qualifying ||
-      uv_plain_scan.digest != uv_enc_scan.digest) {
-    std::fprintf(stderr,
-                 "MISMATCH: plain %llu rows (digest %llx) vs encoded %llu "
-                 "rows (digest %llx)\n",
-                 static_cast<unsigned long long>(uv_plain_scan.qualifying),
-                 static_cast<unsigned long long>(uv_plain_scan.digest),
-                 static_cast<unsigned long long>(uv_enc_scan.qualifying),
-                 static_cast<unsigned long long>(uv_enc_scan.digest));
-    return 1;
-  }
-  const double encoded_speedup = uv_plain_scan.best_ms / uv_enc_scan.best_ms;
-  std::printf("\n=== scan-on-compressed, %u-row UserVisits block "
-              "(%llu/%u qualifying) ===\n",
-              kUvRows,
-              static_cast<unsigned long long>(uv_enc_scan.qualifying),
-              kUvRows);
-  std::printf("%-28s %10.2f ms   %12.0f stored bytes\n", "plain scan",
-              uv_plain_scan.best_ms, stored_plain);
-  std::printf("%-28s %10.2f ms   %12.0f stored bytes\n", "encoded scan",
-              uv_enc_scan.best_ms, stored_enc);
-  std::printf("%-28s %10.2fx  (target >= 1.5x)\n", "speedup",
-              encoded_speedup);
-  std::printf("%-28s %10.2fx  (target >= 2x)\n", "compression ratio",
-              compression_ratio);
-
   FILE* json = std::fopen(json_path.c_str(), "w");
   if (json != nullptr) {
     std::fprintf(
@@ -395,27 +295,13 @@ int main(int argc, char** argv) {
         "    \"getstring_decode_steps\": %llu,\n"
         "    \"cursor_decode_steps\": %llu,\n"
         "    \"cursor_is_linear\": %s\n"
-        "  },\n"
-        "  \"scan_on_compressed\": {\n"
-        "    \"uservisits_rows\": %u,\n"
-        "    \"qualifying\": %llu,\n"
-        "    \"plain_scan_ms\": %.3f,\n"
-        "    \"encoded_scan_ms\": %.3f,\n"
-        "    \"encoded_speedup\": %.2f,\n"
-        "    \"stored_bytes_plain\": %.0f,\n"
-        "    \"stored_bytes_encoded\": %.0f,\n"
-        "    \"compression_ratio\": %.2f,\n"
-        "    \"encoded_matches_plain\": true\n"
         "  }\n"
         "}\n",
         kRows, kPartition, static_cast<unsigned long long>(vec.qualifying),
         base.best_ms, vec.best_ms, speedup, scan_ms, cursor_ms,
         string_speedup, static_cast<unsigned long long>(rescan_steps),
         static_cast<unsigned long long>(cursor_steps),
-        linear ? "true" : "false", kUvRows,
-        static_cast<unsigned long long>(uv_enc_scan.qualifying),
-        uv_plain_scan.best_ms, uv_enc_scan.best_ms, encoded_speedup,
-        stored_plain, stored_enc, compression_ratio);
+        linear ? "true" : "false");
     std::fclose(json);
     std::printf("\nwrote %s\n", json_path.c_str());
   } else {

@@ -129,8 +129,7 @@ std::vector<MaintenanceTask> ReorgPlanner::Plan(const hdfs::MiniDfs& dfs,
   hot_rounds_[hot] = streak;
   int& rounds = hot_rounds_[hot];
   ++rounds;
-  const bool escalate =
-      !options_.incremental_first || rounds > options_.escalate_after_rounds;
+  const bool escalate = rounds > options_.escalate_after_rounds;
   sum.hot_column = hot;
   sum.escalated = escalate;
 

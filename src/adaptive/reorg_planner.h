@@ -9,15 +9,16 @@
 ///     sort-column assignment (index_advisor::SuggestSortColumns over the
 ///     decayed log) and picks the hottest desired column with incomplete
 ///     clustered coverage.
-///  3. First response is *incremental*: install a cheap per-block
+///  3. First response is always *incremental*: install a cheap per-block
 ///     UnclusteredIndex on the hot column (one read + key sort + write per
 ///     block, no data movement). Queries immediately leave the full-scan
 ///     path.
-///  4. If the column stays hot — the unclustered share keeps paying random
-///     I/O for `escalate_after_rounds` more planning rounds — the planner
-///     pays for the real thing: per-block re-sorts of a victim replica
-///     (the one whose current index earns the least decayed benefit) to
-///     the hot column, with a fresh clustered index.
+///  4. Only if the column stays hot for more than `escalate_after_rounds`
+///     consecutive planning rounds — the unclustered share keeps paying
+///     random I/O — does the planner pay for the real thing: per-block
+///     re-sorts of a victim replica (the one whose current index earns
+///     the least decayed benefit) to the hot column, with a fresh
+///     clustered index.
 ///
 /// Planning is deterministic: victim choice ties break on datanode id,
 /// block order follows the namenode's file listing.
@@ -38,8 +39,6 @@ namespace adaptive {
 struct PlannerOptions {
   /// Regret (weight share served by full scans) that triggers action.
   double regret_threshold = 0.25;
-  /// Install unclustered indexes before paying for re-sorts.
-  bool incremental_first = true;
   /// Planning rounds a column must stay hot (served unclustered or
   /// scanned) before escalating from unclustered install to full re-sort.
   int escalate_after_rounds = 2;

@@ -82,15 +82,6 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
         static_cast<uint64_t>(base_->schema().num_fields()));
   }
 
-  if (base_->options().enable_encoding) {
-    // Format v3: every replica serialises (and re-encodes) its own
-    // permutation of the columns — codes are never copied across a sort —
-    // so each datanode pays the sampling + code-emission pass.
-    out.cpu_seconds += ctx.cost->EncodeValues(
-        params_.logical_records *
-        static_cast<uint64_t>(base_->schema().num_fields()));
-  }
-
   // Each datanode recomputes its own checksums: replicas differ
   // physically, so DN1's CRCs are useless to DN2 (§3.2).
   const uint64_t logical_replica_bytes =

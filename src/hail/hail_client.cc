@@ -69,29 +69,15 @@ Result<bool> UploadNextHailBlock(hdfs::MiniDfs* dfs,
   const std::string client_block = pax.Serialize();
   // Logical sizes come from the values-only payload: the real serialised
   // block carries offset side-cars at scaled-down density, which must not
-  // be multiplied back up (DESIGN.md §2). With format-v3 encoding on, the
-  // payload billed for transfer is the *stored* (compressed) extent of the
-  // block just serialised, and the client pays an explicit per-value
-  // encode term for the sampling + code-emission pass.
-  uint64_t stored_payload = pax.PayloadBytes();
-  double encode_cpu = 0.0;
-  if (cfg.format.enable_encoding) {
-    HAIL_ASSIGN_OR_RETURN(PaxBlockView encoded_view,
-                          PaxBlockView::Open(client_block));
-    stored_payload = encoded_view.stored_payload_bytes();
-    encode_cpu = client.cost().EncodeValues(
-        static_cast<uint64_t>(static_cast<double>(pax.num_records()) *
-                              cfg.scale_factor) *
-        static_cast<uint64_t>(config.schema.num_fields()));
-  }
+  // be multiplied back up (DESIGN.md §2).
   const uint64_t logical_pax_bytes =
-      static_cast<uint64_t>(static_cast<double>(stored_payload) *
+      static_cast<uint64_t>(static_cast<double>(pax.PayloadBytes()) *
                             cfg.scale_factor) +
       hdfs::kLogicalBlockOverhead;
 
   const sim::Interval parse = client.cpu().Schedule(
       read.end, client.cost().TextParse(logical_text_bytes) +
-                    client.cost().PaxBuild(logical_pax_bytes) + encode_cpu);
+                    client.cost().PaxBuild(logical_pax_bytes));
 
   // ---- namenode: allocate block + targets (step 3) ----
   HAIL_ASSIGN_OR_RETURN(hdfs::BlockAllocation alloc,

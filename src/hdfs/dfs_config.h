@@ -33,11 +33,6 @@ struct DfsConfig {
   uint32_t packet_bytes = 16 * 1024;
 
   /// Physical layout options for PAX blocks built by the HAIL client.
-  /// Setting format.enable_encoding here turns on format-v3 encoded
-  /// minipages cluster-wide: the client writes encoded blocks, replica
-  /// re-sorts re-encode, scans run on the compressed form, and the cost
-  /// model bills stored (compressed) bytes plus explicit encode/decode
-  /// terms. Default off — v1 golden bytes unchanged.
   BlockFormatOptions format;
 };
 

@@ -2,144 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstring>
-#include <limits>
 
 namespace hail {
 
 namespace {
 
-constexpr uint64_t Align8(uint64_t pos) { return (pos + 7) & ~uint64_t{7}; }
-
-void PadTo8(ByteWriter& w) {
-  while (w.size() % 8 != 0) w.PutU8(0);
-}
-
-/// Narrowest unsigned code width covering [0, range]; 0 when > 4 bytes.
-uint8_t CodeWidthForRange(uint64_t range) {
-  if (range <= 0xFF) return 1;
-  if (range <= 0xFFFF) return 2;
-  if (range <= 0xFFFFFFFFull) return 4;
-  return 0;
-}
-
-void PutCode(ByteWriter& w, uint64_t code, uint8_t width) {
-  switch (width) {
-    case 1:
-      w.PutU8(static_cast<uint8_t>(code));
-      break;
-    case 2:
-      w.PutU8(static_cast<uint8_t>(code & 0xFF));
-      w.PutU8(static_cast<uint8_t>((code >> 8) & 0xFF));
-      break;
-    default:
-      w.PutU32(static_cast<uint32_t>(code));
-      break;
-  }
-}
-
-/// Serialises one integer minipage (format v3), choosing the encoding by
-/// comparing estimated stored sizes: NONE beats an encoding on ties, FOR
-/// beats RLE (cheaper random access).
-template <typename T>
-void WriteEncodedIntMiniPage(ByteWriter& w, const std::vector<T>& vals) {
-  const uint32_t n = static_cast<uint32_t>(vals.size());
-  if (n == 0) {
-    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
-    PadTo8(w);
-    return;
-  }
-  // One sampling pass: min, max, run count.
-  T mn = vals[0], mx = vals[0];
-  uint32_t runs = 1;
-  for (uint32_t i = 1; i < n; ++i) {
-    mn = std::min(mn, vals[i]);
-    mx = std::max(mx, vals[i]);
-    runs += vals[i] != vals[i - 1] ? 1u : 0u;
-  }
-  const uint64_t range = static_cast<uint64_t>(static_cast<int64_t>(mx)) -
-                         static_cast<uint64_t>(static_cast<int64_t>(mn));
-  uint8_t for_width = CodeWidthForRange(range);
-  if (for_width >= sizeof(T)) for_width = 0;  // no win over plain
-  const uint64_t plain_est = 8 + uint64_t{n} * sizeof(T);
-  const uint64_t for_est =
-      for_width ? 16 + uint64_t{n} * for_width
-                : std::numeric_limits<uint64_t>::max();
-  const uint64_t rle_est = 16 + uint64_t{runs} * (4 + sizeof(T));
-  if (plain_est <= for_est && plain_est <= rle_est) {
-    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
-    PadTo8(w);
-    w.PutBytes(std::string_view(reinterpret_cast<const char*>(vals.data()),
-                                uint64_t{n} * sizeof(T)));
-    return;
-  }
-  if (for_est <= rle_est) {
-    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kFor));
-    w.PutU8(for_width);
-    PadTo8(w);
-    w.PutU64(static_cast<uint64_t>(static_cast<int64_t>(mn)));
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint64_t code = static_cast<uint64_t>(static_cast<int64_t>(vals[i])) -
-                            static_cast<uint64_t>(static_cast<int64_t>(mn));
-      PutCode(w, code, for_width);
-    }
-    return;
-  }
-  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kRle));
-  w.PutU32(runs);
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || vals[i] != vals[i - 1]) w.PutU32(i);
-  }
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || vals[i] != vals[i - 1]) {
-      T v = vals[i];
-      w.PutBytes(std::string_view(reinterpret_cast<const char*>(&v), sizeof(T)));
-    }
-  }
-}
-
-/// Doubles only get RLE, and run detection is *bitwise* so -0.0 / 0.0 and
-/// NaN payloads survive a round trip exactly (value equality would merge
-/// -0.0 into a 0.0 run and re-materialise the wrong bits).
-void WriteEncodedDoubleMiniPage(ByteWriter& w, const std::vector<double>& vals) {
-  const uint32_t n = static_cast<uint32_t>(vals.size());
-  auto same_bits = [](double a, double b) {
-    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-  };
-  uint32_t runs = n > 0 ? 1 : 0;
-  for (uint32_t i = 1; i < n; ++i) {
-    runs += same_bits(vals[i], vals[i - 1]) ? 0u : 1u;
-  }
-  const uint64_t plain_est = 8 + uint64_t{n} * sizeof(double);
-  const uint64_t rle_est = 16 + uint64_t{runs} * (4 + sizeof(double));
-  if (n == 0 || plain_est <= rle_est) {
-    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
-    PadTo8(w);
-    w.PutBytes(std::string_view(reinterpret_cast<const char*>(vals.data()),
-                                uint64_t{n} * sizeof(double)));
-    return;
-  }
-  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kRle));
-  w.PutU32(runs);
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || !same_bits(vals[i], vals[i - 1])) w.PutU32(i);
-  }
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || !same_bits(vals[i], vals[i - 1])) {
-      double v = vals[i];
-      w.PutBytes(std::string_view(reinterpret_cast<const char*>(&v), sizeof(v)));
-    }
-  }
-}
-
-/// Writes the v1 sparse-offset varlen body (sans tag) — shared between the
-/// v1 string path and the v3 plain-string fallback.
+/// Writes a string minipage: sparse offsets, one per partition of `part`
+/// values, relative to the start of the value bytes ("we only store every
+/// n-th offset", §3.5), then the NUL-terminated values.
 void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
                      uint32_t n, uint32_t part) {
   const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
@@ -155,57 +27,6 @@ void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
   for (uint32_t r = 0; r < n; ++r) {
     w.PutBytes(strs[r]);
     w.PutU8(0);
-  }
-}
-
-/// String minipage (format v3): sorted-dictionary encoding when it stores
-/// fewer bytes than the plain sparse-offset layout, else plain.
-void WriteEncodedStringMiniPage(ByteWriter& w,
-                                const std::vector<std::string>& strs,
-                                uint32_t n, uint32_t part) {
-  std::vector<std::string_view> dict;
-  uint64_t plain_values = 0;
-  if (n > 0) {
-    dict.reserve(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      dict.push_back(strs[r]);
-      plain_values += strs[r].size() + 1;
-    }
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  }
-  uint64_t dict_bytes = 0;
-  for (std::string_view s : dict) dict_bytes += s.size() + 1;
-  const uint8_t width = dict.size() <= 256 ? 1 : (dict.size() <= 65536 ? 2 : 4);
-  const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
-  const uint64_t plain_est = 1 + 4 + 8ull * num_offsets + 8 + plain_values;
-  const uint64_t dict_est = 14 + 8 /* pads */ + 4ull * dict.size() +
-                            dict_bytes + uint64_t{n} * width;
-  if (n == 0 || dict_bytes > std::numeric_limits<uint32_t>::max() ||
-      dict_est >= plain_est) {
-    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
-    WriteVarlenBody(w, strs, n, part);
-    return;
-  }
-  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kDict));
-  w.PutU8(width);
-  w.PutU32(static_cast<uint32_t>(dict.size()));
-  w.PutU64(dict_bytes);
-  PadTo8(w);
-  uint32_t off = 0;
-  for (std::string_view s : dict) {
-    w.PutU32(off);
-    off += static_cast<uint32_t>(s.size()) + 1;
-  }
-  for (std::string_view s : dict) {
-    w.PutBytes(s);
-    w.PutU8(0);
-  }
-  PadTo8(w);
-  for (uint32_t r = 0; r < n; ++r) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(),
-                                     std::string_view(strs[r]));
-    PutCode(w, static_cast<uint64_t>(it - dict.begin()), width);
   }
 }
 
@@ -290,9 +111,7 @@ std::string PaxBlock::Serialize() const {
   const int ncols = num_columns();
 
   w.PutU32(kPaxMagic);
-  // Layout kind: plain PAX (v1) or encoded minipages (v3). The header and
-  // directory are identical; only the minipage bodies differ.
-  w.PutU8(options_.enable_encoding ? kPaxLayoutEncoded : kPaxLayoutPlain);
+  w.PutU8(kPaxLayoutPlain);
   w.PutLengthPrefixed(schema_.ToString());
   w.PutU32(n);
   w.PutU32(options_.varlen_partition_size);
@@ -321,47 +140,26 @@ std::string PaxBlock::Serialize() const {
     // byte accounting is unchanged.
     while (w.size() % 8 != 0) w.PutU8(0);
     col_offsets[static_cast<size_t>(i)] = w.size();
-    if (options_.enable_encoding) {
-      switch (col.type()) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          WriteEncodedIntMiniPage(w, col.i32());
-          break;
-        case FieldType::kInt64:
-          WriteEncodedIntMiniPage(w, col.i64());
-          break;
-        case FieldType::kDouble:
-          WriteEncodedDoubleMiniPage(w, col.f64());
-          break;
-        case FieldType::kString:
-          WriteEncodedStringMiniPage(w, col.str(), n, part);
-          break;
-      }
-    } else {
-      switch (col.type()) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          w.PutBytes(std::string_view(
-              reinterpret_cast<const char*>(col.i32().data()),
-              col.i32().size() * sizeof(int32_t)));
-          break;
-        case FieldType::kInt64:
-          w.PutBytes(std::string_view(
-              reinterpret_cast<const char*>(col.i64().data()),
-              col.i64().size() * sizeof(int64_t)));
-          break;
-        case FieldType::kDouble:
-          w.PutBytes(std::string_view(
-              reinterpret_cast<const char*>(col.f64().data()),
-              col.f64().size() * sizeof(double)));
-          break;
-        case FieldType::kString:
-          // Sparse offsets: one per partition of `part` values, relative
-          // to the start of the value bytes ("we only store every n-th
-          // offset", §3.5).
-          WriteVarlenBody(w, col.str(), n, part);
-          break;
-      }
+    switch (col.type()) {
+      case FieldType::kInt32:
+      case FieldType::kDate:
+        w.PutBytes(std::string_view(
+            reinterpret_cast<const char*>(col.i32().data()),
+            col.i32().size() * sizeof(int32_t)));
+        break;
+      case FieldType::kInt64:
+        w.PutBytes(std::string_view(
+            reinterpret_cast<const char*>(col.i64().data()),
+            col.i64().size() * sizeof(int64_t)));
+        break;
+      case FieldType::kDouble:
+        w.PutBytes(std::string_view(
+            reinterpret_cast<const char*>(col.f64().data()),
+            col.f64().size() * sizeof(double)));
+        break;
+      case FieldType::kString:
+        WriteVarlenBody(w, col.str(), n, part);
+        break;
     }
     col_bytes[static_cast<size_t>(i)] =
         w.size() - col_offsets[static_cast<size_t>(i)];
@@ -401,79 +199,12 @@ Result<PaxBlock> PaxBlock::Deserialize(std::string_view data) {
   HAIL_ASSIGN_OR_RETURN(PaxBlockView view, PaxBlockView::Open(data));
   BlockFormatOptions options;
   options.varlen_partition_size = view.varlen_partition_size();
-  // Carrying the flag means a deserialize → permute → serialize round trip
-  // (the replica transformer, adaptive re-sorts) re-encodes the reordered
-  // columns from scratch instead of losing the format — codes are never
-  // copied across a permutation.
-  options.enable_encoding = view.encoded_format();
   PaxBlock block(view.schema(), options);
   const uint32_t n = view.num_records();
   // Bulk per-column decode: fixed-size minipages are one memcpy each,
   // string minipages one sequential pass — no per-row Value round trip.
-  // Encoded minipages expand runs / codes / dictionary references.
   for (int c = 0; c < view.num_columns(); ++c) {
     ColumnVector& col = block.columns_[static_cast<size_t>(c)];
-    switch (view.column_encoding(c)) {
-      case MiniPageEncoding::kPlain:
-        break;
-      case MiniPageEncoding::kFor: {
-        HAIL_ASSIGN_OR_RETURN(ForSpan span, view.ForSpanOf(c));
-        if (col.type() == FieldType::kInt64) {
-          std::vector<int64_t>& out = col.mutable_i64();
-          out.reserve(n);
-          for (uint32_t r = 0; r < n; ++r) out.push_back(span.Value(r));
-        } else {
-          std::vector<int32_t>& out = col.mutable_i32();
-          out.reserve(n);
-          for (uint32_t r = 0; r < n; ++r) {
-            out.push_back(static_cast<int32_t>(span.Value(r)));
-          }
-        }
-        continue;
-      }
-      case MiniPageEncoding::kRle:
-        switch (col.type()) {
-          case FieldType::kInt32:
-          case FieldType::kDate: {
-            HAIL_ASSIGN_OR_RETURN(RleSpan<int32_t> span, view.RleInt32Span(c));
-            std::vector<int32_t>& out = col.mutable_i32();
-            out.resize(n);
-            for (uint32_t j = 0; j < span.num_runs(); ++j) {
-              std::fill(out.begin() + span.run_start(j),
-                        out.begin() + span.run_end(j), span.run_value(j));
-            }
-            break;
-          }
-          case FieldType::kInt64: {
-            HAIL_ASSIGN_OR_RETURN(RleSpan<int64_t> span, view.RleInt64Span(c));
-            std::vector<int64_t>& out = col.mutable_i64();
-            out.resize(n);
-            for (uint32_t j = 0; j < span.num_runs(); ++j) {
-              std::fill(out.begin() + span.run_start(j),
-                        out.begin() + span.run_end(j), span.run_value(j));
-            }
-            break;
-          }
-          default: {
-            HAIL_ASSIGN_OR_RETURN(RleSpan<double> span, view.RleDoubleSpan(c));
-            std::vector<double>& out = col.mutable_f64();
-            out.resize(n);
-            for (uint32_t j = 0; j < span.num_runs(); ++j) {
-              std::fill(out.begin() + span.run_start(j),
-                        out.begin() + span.run_end(j), span.run_value(j));
-            }
-            break;
-          }
-        }
-        continue;
-      case MiniPageEncoding::kDict: {
-        HAIL_ASSIGN_OR_RETURN(DictSpan span, view.DictSpanOf(c));
-        std::vector<std::string>& out = col.mutable_str();
-        out.reserve(n);
-        for (uint32_t r = 0; r < n; ++r) out.emplace_back(span.Value(r));
-        continue;
-      }
-    }
     switch (col.type()) {
       case FieldType::kInt32:
       case FieldType::kDate: {
@@ -530,10 +261,9 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
     return Status::Corruption("not a PAX block (bad magic)");
   }
   HAIL_ASSIGN_OR_RETURN(uint8_t kind, r.GetU8());
-  if (kind != kPaxLayoutPlain && kind != kPaxLayoutEncoded) {
+  if (kind != kPaxLayoutPlain) {
     return Status::Corruption("unsupported layout kind");
   }
-  view.layout_kind_ = kind;
   HAIL_ASSIGN_OR_RETURN(std::string_view schema_text, r.GetLengthPrefixed());
   HAIL_ASSIGN_OR_RETURN(view.schema_, Schema::Parse(schema_text));
   HAIL_ASSIGN_OR_RETURN(view.num_records_, r.GetU32());
@@ -550,7 +280,10 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
   for (uint32_t i = 0; i < ncols; ++i) {
     ColumnInfo& ci = view.cols_[i];
     HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
-    ci.type = static_cast<FieldType>(type_byte);
+    HAIL_ASSIGN_OR_RETURN(ci.type, FieldTypeFromByte(type_byte));
+    if (ci.type != view.schema_.field(static_cast<int>(i)).type) {
+      return Status::Corruption("minipage type does not match schema");
+    }
     HAIL_ASSIGN_OR_RETURN(ci.minipage_offset, r.GetU64());
     HAIL_ASSIGN_OR_RETURN(ci.minipage_bytes, r.GetU64());
     // Overflow-safe form of offset + bytes > size: a crafted directory
@@ -559,15 +292,14 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
         ci.minipage_offset > data.size() - ci.minipage_bytes) {
       return Status::Corruption("minipage out of bounds");
     }
-    // v1 fixed minipages are bare value arrays sized directly from the
-    // directory; v3 minipages carry per-encoding headers and are checked
-    // section by section in ResolveEncodedColumn below.
-    if (kind == kPaxLayoutPlain && IsFixedSize(ci.type) &&
+    // Fixed minipages are bare value arrays sized directly from the
+    // directory.
+    if (IsFixedSize(ci.type) &&
         ci.minipage_bytes < static_cast<uint64_t>(view.num_records_) *
                                 FieldTypeWidth(ci.type)) {
       return Status::Corruption("fixed minipage truncated");
     }
-    if (kind == kPaxLayoutPlain) ci.values_pos = ci.minipage_offset;
+    ci.values_pos = ci.minipage_offset;
   }
   HAIL_ASSIGN_OR_RETURN(view.bad_section_offset_, r.GetU64());
   if (view.bad_section_offset_ > data.size()) {
@@ -588,14 +320,7 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
     return Status::Corruption("trailing bytes after bad-record section");
   }
 
-  if (kind == kPaxLayoutEncoded) {
-    for (uint32_t i = 0; i < ncols; ++i) {
-      HAIL_RETURN_NOT_OK(view.ResolveEncodedColumn(&view.cols_[i]));
-    }
-    return view;
-  }
-
-  // Resolve varlen internals (v1).
+  // Resolve varlen internals.
   for (uint32_t i = 0; i < ncols; ++i) {
     ColumnInfo& ci = view.cols_[i];
     if (ci.type != FieldType::kString) continue;
@@ -613,177 +338,13 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
   return view;
 }
 
-/// Parses and validates one format-v3 minipage. Every section's extent is
-/// checked against the directory-declared minipage bounds (themselves
-/// bounds-checked against the buffer above), and every structural
-/// invariant the zero-copy spans rely on is verified here ONCE — RLE run
-/// starts strictly increasing from 0, dictionary entries NUL-terminated,
-/// sorted and distinct, every code inside the dictionary — so that no
-/// truncation parses as a shorter-valid block and no bit flip can push a
-/// span load out of bounds.
-Status PaxBlockView::ResolveEncodedColumn(ColumnInfo* ci) {
-  const uint64_t extent_end = ci->minipage_offset + ci->minipage_bytes;
-  auto within = [&](uint64_t pos, uint64_t bytes) {
-    return pos >= ci->minipage_offset && pos <= extent_end &&
-           bytes <= extent_end - pos;
-  };
-  const uint32_t n = num_records_;
-  ByteReader r(data_);
-  HAIL_RETURN_NOT_OK(r.SeekTo(ci->minipage_offset));
-  if (ci->minipage_bytes == 0) {
-    return Status::Corruption("encoded minipage has no tag");
-  }
-  HAIL_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-  if (tag > static_cast<uint8_t>(MiniPageEncoding::kFor)) {
-    return Status::Corruption("unknown minipage encoding");
-  }
-  ci->encoding = static_cast<MiniPageEncoding>(tag);
-  switch (ci->encoding) {
-    case MiniPageEncoding::kPlain: {
-      if (ci->type == FieldType::kString) {
-        HAIL_ASSIGN_OR_RETURN(ci->num_offsets, r.GetU32());
-        ci->offsets_pos = r.position();
-        HAIL_RETURN_NOT_OK(r.SeekTo(ci->offsets_pos + 8ull * ci->num_offsets));
-        HAIL_ASSIGN_OR_RETURN(ci->values_bytes, r.GetU64());
-        ci->values_pos = r.position();
-        if (!within(ci->values_pos, ci->values_bytes)) {
-          return Status::Corruption("varlen values out of bounds");
-        }
-        return Status::OK();
-      }
-      ci->values_pos = Align8(r.position());
-      if (!within(ci->values_pos, uint64_t{n} * FieldTypeWidth(ci->type))) {
-        return Status::Corruption("fixed minipage truncated");
-      }
-      return Status::OK();
-    }
-    case MiniPageEncoding::kFor: {
-      if (ci->type == FieldType::kDouble || ci->type == FieldType::kString) {
-        return Status::Corruption("FOR encoding on non-integer column");
-      }
-      HAIL_ASSIGN_OR_RETURN(ci->code_width, r.GetU8());
-      if (ci->code_width != 1 && ci->code_width != 2 && ci->code_width != 4) {
-        return Status::Corruption("bad FOR code width");
-      }
-      if (ci->code_width >= FieldTypeWidth(ci->type)) {
-        return Status::Corruption("FOR code width not narrower than type");
-      }
-      HAIL_RETURN_NOT_OK(r.SeekTo(Align8(r.position())));
-      HAIL_ASSIGN_OR_RETURN(uint64_t frame_bits, r.GetU64());
-      ci->frame = static_cast<int64_t>(frame_bits);
-      ci->codes_pos = r.position();
-      if (!within(ci->codes_pos, uint64_t{n} * ci->code_width)) {
-        return Status::Corruption("FOR codes out of bounds");
-      }
-      return Status::OK();
-    }
-    case MiniPageEncoding::kRle: {
-      if (ci->type == FieldType::kString) {
-        return Status::Corruption("RLE encoding on string column");
-      }
-      HAIL_ASSIGN_OR_RETURN(ci->num_runs, r.GetU32());
-      if (n == 0 ? ci->num_runs != 0 : (ci->num_runs == 0 || ci->num_runs > n)) {
-        return Status::Corruption("bad RLE run count");
-      }
-      ci->run_starts_pos = Align8(r.position());
-      if (!within(ci->run_starts_pos, 4ull * ci->num_runs)) {
-        return Status::Corruption("RLE run starts out of bounds");
-      }
-      ci->run_values_pos = Align8(ci->run_starts_pos + 4ull * ci->num_runs);
-      if (!within(ci->run_values_pos,
-                  uint64_t{ci->num_runs} * FieldTypeWidth(ci->type))) {
-        return Status::Corruption("RLE run values out of bounds");
-      }
-      uint32_t prev = 0;
-      for (uint32_t j = 0; j < ci->num_runs; ++j) {
-        uint32_t start;
-        std::memcpy(&start, data_.data() + ci->run_starts_pos + 4ull * j, 4);
-        if (j == 0 ? start != 0 : start <= prev) {
-          return Status::Corruption("RLE run starts not strictly increasing");
-        }
-        if (start >= n) return Status::Corruption("RLE run start out of range");
-        prev = start;
-      }
-      return Status::OK();
-    }
-    case MiniPageEncoding::kDict: {
-      if (ci->type != FieldType::kString) {
-        return Status::Corruption("dictionary encoding on fixed-size column");
-      }
-      HAIL_ASSIGN_OR_RETURN(ci->code_width, r.GetU8());
-      if (ci->code_width != 1 && ci->code_width != 2 && ci->code_width != 4) {
-        return Status::Corruption("bad dictionary code width");
-      }
-      HAIL_ASSIGN_OR_RETURN(ci->dict_size, r.GetU32());
-      HAIL_ASSIGN_OR_RETURN(ci->dict_values_bytes, r.GetU64());
-      if (n == 0 || ci->dict_size == 0 || ci->dict_size > n ||
-          ci->dict_values_bytes < ci->dict_size) {
-        return Status::Corruption("bad dictionary shape");
-      }
-      ci->dict_offsets_pos = Align8(r.position());
-      if (!within(ci->dict_offsets_pos, 4ull * ci->dict_size)) {
-        return Status::Corruption("dictionary offsets out of bounds");
-      }
-      ci->dict_values_pos = ci->dict_offsets_pos + 4ull * ci->dict_size;
-      if (!within(ci->dict_values_pos, ci->dict_values_bytes)) {
-        return Status::Corruption("dictionary values out of bounds");
-      }
-      ci->codes_pos = Align8(ci->dict_values_pos + ci->dict_values_bytes);
-      if (!within(ci->codes_pos, uint64_t{n} * ci->code_width)) {
-        return Status::Corruption("dictionary codes out of bounds");
-      }
-      const char* dict_vals = data_.data() + ci->dict_values_pos;
-      if (dict_vals[ci->dict_values_bytes - 1] != '\0') {
-        return Status::Corruption("dictionary not NUL-terminated");
-      }
-      uint32_t prev_off = 0;
-      for (uint32_t j = 0; j < ci->dict_size; ++j) {
-        uint32_t off;
-        std::memcpy(&off, data_.data() + ci->dict_offsets_pos + 4ull * j, 4);
-        if (j == 0 ? off != 0 : off <= prev_off) {
-          return Status::Corruption("dictionary offsets not increasing");
-        }
-        if (off >= ci->dict_values_bytes) {
-          return Status::Corruption("dictionary offset out of bounds");
-        }
-        if (j > 0 && dict_vals[off - 1] != '\0') {
-          return Status::Corruption("dictionary entry not NUL-terminated");
-        }
-        prev_off = off;
-      }
-      // The scan engine's predicate rewrite binary-searches the entries,
-      // so order (and distinctness) is a structural invariant, not a hint.
-      DictSpan span(data_.data() + ci->codes_pos, ci->code_width, n,
-                    data_.data() + ci->dict_offsets_pos, dict_vals,
-                    ci->dict_values_bytes, ci->dict_size);
-      for (uint32_t j = 1; j < ci->dict_size; ++j) {
-        if (!(span.DictEntry(j - 1) < span.DictEntry(j))) {
-          return Status::Corruption("dictionary entries not sorted");
-        }
-      }
-      for (uint32_t row = 0; row < n; ++row) {
-        if (span.Code(row) >= ci->dict_size) {
-          return Status::Corruption("dictionary code out of range");
-        }
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("unknown minipage encoding");
-}
-
 namespace {
 
 template <typename T>
 Result<ColumnSpan<T>> MakeFixedSpan(std::string_view data, uint64_t values_pos,
-                                    MiniPageEncoding enc, uint32_t num_records,
-                                    bool type_matches) {
+                                    uint32_t num_records, bool type_matches) {
   if (!type_matches) {
     return Status::InvalidArgument("typed span does not match column type");
-  }
-  if (enc != MiniPageEncoding::kPlain) {
-    return Status::FailedPrecondition(
-        "minipage is encoded; use the encoded spans");
   }
   return ColumnSpan<T>(data.data() + values_pos, num_records);
 }
@@ -793,104 +354,26 @@ Result<ColumnSpan<T>> MakeFixedSpan(std::string_view data, uint64_t values_pos,
 Result<ColumnSpan<int32_t>> PaxBlockView::Int32Span(int column) const {
   const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
   return MakeFixedSpan<int32_t>(
-      data_, ci.values_pos, ci.encoding, num_records_,
+      data_, ci.values_pos, num_records_,
       ci.type == FieldType::kInt32 || ci.type == FieldType::kDate);
 }
 
 Result<ColumnSpan<int64_t>> PaxBlockView::Int64Span(int column) const {
   const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeFixedSpan<int64_t>(data_, ci.values_pos, ci.encoding,
-                                num_records_, ci.type == FieldType::kInt64);
+  return MakeFixedSpan<int64_t>(data_, ci.values_pos, num_records_,
+                                ci.type == FieldType::kInt64);
 }
 
 Result<ColumnSpan<double>> PaxBlockView::DoubleSpan(int column) const {
   const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeFixedSpan<double>(data_, ci.values_pos, ci.encoding,
-                               num_records_, ci.type == FieldType::kDouble);
-}
-
-Result<ForSpan> PaxBlockView::ForSpanOf(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.encoding != MiniPageEncoding::kFor) {
-    return Status::FailedPrecondition("column is not FOR-encoded");
-  }
-  return ForSpan(data_.data() + ci.codes_pos, num_records_, ci.code_width,
-                 ci.frame);
-}
-
-namespace {
-
-template <typename T>
-Result<RleSpan<T>> MakeRleSpan(std::string_view data, uint64_t starts_pos,
-                               uint64_t values_pos, uint32_t num_runs,
-                               MiniPageEncoding enc, uint32_t num_records,
-                               bool type_matches) {
-  if (!type_matches) {
-    return Status::InvalidArgument("typed span does not match column type");
-  }
-  if (enc != MiniPageEncoding::kRle) {
-    return Status::FailedPrecondition("column is not RLE-encoded");
-  }
-  return RleSpan<T>(data.data() + starts_pos, data.data() + values_pos,
-                    num_runs, num_records);
-}
-
-}  // namespace
-
-Result<RleSpan<int32_t>> PaxBlockView::RleInt32Span(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeRleSpan<int32_t>(
-      data_, ci.run_starts_pos, ci.run_values_pos, ci.num_runs, ci.encoding,
-      num_records_, ci.type == FieldType::kInt32 || ci.type == FieldType::kDate);
-}
-
-Result<RleSpan<int64_t>> PaxBlockView::RleInt64Span(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeRleSpan<int64_t>(data_, ci.run_starts_pos, ci.run_values_pos,
-                              ci.num_runs, ci.encoding, num_records_,
-                              ci.type == FieldType::kInt64);
-}
-
-Result<RleSpan<double>> PaxBlockView::RleDoubleSpan(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeRleSpan<double>(data_, ci.run_starts_pos, ci.run_values_pos,
-                             ci.num_runs, ci.encoding, num_records_,
-                             ci.type == FieldType::kDouble);
-}
-
-Result<DictSpan> PaxBlockView::DictSpanOf(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.encoding != MiniPageEncoding::kDict) {
-    return Status::FailedPrecondition("column is not dictionary-encoded");
-  }
-  return DictSpan(data_.data() + ci.codes_pos, ci.code_width, num_records_,
-                  data_.data() + ci.dict_offsets_pos,
-                  data_.data() + ci.dict_values_pos, ci.dict_values_bytes,
-                  ci.dict_size);
-}
-
-int PaxBlockView::num_encoded_columns() const {
-  int count = 0;
-  for (const ColumnInfo& ci : cols_) {
-    count += ci.encoding != MiniPageEncoding::kPlain ? 1 : 0;
-  }
-  return count;
-}
-
-uint64_t PaxBlockView::stored_payload_bytes() const {
-  uint64_t bytes = data_.size() - bad_section_offset_;
-  for (int i = 0; i < num_columns(); ++i) bytes += column_value_bytes(i);
-  return bytes;
+  return MakeFixedSpan<double>(data_, ci.values_pos, num_records_,
+                               ci.type == FieldType::kDouble);
 }
 
 Result<VarlenCursor> PaxBlockView::OpenVarlenCursor(int column) const {
   const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
   if (ci.type != FieldType::kString) {
     return Status::InvalidArgument("OpenVarlenCursor on fixed-size column");
-  }
-  if (ci.encoding != MiniPageEncoding::kPlain) {
-    return Status::FailedPrecondition(
-        "string minipage is dictionary-encoded; use DictSpanOf");
   }
   VarlenCursor cursor;
   cursor.values_ = data_.data() + ci.values_pos;
@@ -960,39 +443,6 @@ Result<Value> PaxBlockView::GetFixedValue(int column, uint32_t row) const {
   if (ci.type == FieldType::kString) {
     return Status::InvalidArgument("GetFixedValue on string column");
   }
-  switch (ci.encoding) {
-    case MiniPageEncoding::kPlain:
-      break;
-    case MiniPageEncoding::kFor: {
-      const ForSpan span(data_.data() + ci.codes_pos, num_records_,
-                         ci.code_width, ci.frame);
-      const int64_t v = span.Value(row);
-      return ci.type == FieldType::kInt64
-                 ? Value(v)
-                 : Value(static_cast<int32_t>(v));
-    }
-    case MiniPageEncoding::kRle:
-      switch (ci.type) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          return Value(RleSpan<int32_t>(data_.data() + ci.run_starts_pos,
-                                        data_.data() + ci.run_values_pos,
-                                        ci.num_runs, num_records_)
-                           .Value(row));
-        case FieldType::kInt64:
-          return Value(RleSpan<int64_t>(data_.data() + ci.run_starts_pos,
-                                        data_.data() + ci.run_values_pos,
-                                        ci.num_runs, num_records_)
-                           .Value(row));
-        default:
-          return Value(RleSpan<double>(data_.data() + ci.run_starts_pos,
-                                       data_.data() + ci.run_values_pos,
-                                       ci.num_runs, num_records_)
-                           .Value(row));
-      }
-    case MiniPageEncoding::kDict:
-      return Status::Corruption("dictionary encoding on fixed-size column");
-  }
   const char* base = data_.data() + ci.values_pos;
   switch (ci.type) {
     case FieldType::kInt32:
@@ -1019,14 +469,6 @@ Result<Value> PaxBlockView::GetFixedValue(int column, uint32_t row) const {
 
 Result<std::string_view> PaxBlockView::GetString(int column,
                                                  uint32_t row) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.encoding == MiniPageEncoding::kDict) {
-    // Dictionary access is O(1): one code load, one offset lookup — the
-    // partition scan below only exists for plain varlen minipages.
-    if (row >= num_records_) return Status::OutOfRange("row out of range");
-    HAIL_ASSIGN_OR_RETURN(DictSpan span, DictSpanOf(column));
-    return span.Value(row);
-  }
   // §3.5: "we scan the partition floor(rowID / n) entirely from disk...
   // then, in main memory we post-filter the partition". A throwaway
   // cursor performs exactly that — one partition-offset seek plus a

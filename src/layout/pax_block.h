@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "layout/column_vector.h"
-#include "layout/minipage_encoding.h"
 #include "schema/row_parser.h"
 #include "schema/schema.h"
 #include "util/io.h"
@@ -36,9 +35,8 @@ namespace hail {
 /// Serialisation constants.
 inline constexpr uint32_t kPaxMagic = 0x4C494148;  // "HAIL" little-endian
 inline constexpr uint32_t kDefaultVarlenPartition = 64;
-/// Layout-kind byte: 0 = plain PAX (v1), 3 = encoded minipages (v3).
+/// Layout-kind byte: 0 = plain PAX, the only kind Open() accepts.
 inline constexpr uint8_t kPaxLayoutPlain = 0;
-inline constexpr uint8_t kPaxLayoutEncoded = 3;
 
 /// \brief Options controlling the physical block format.
 struct BlockFormatOptions {
@@ -46,12 +44,6 @@ struct BlockFormatOptions {
   /// clustered index built on top). The paper uses 1024 at 64 MB blocks;
   /// scaled-down tests use smaller partitions to keep granularity.
   uint32_t varlen_partition_size = kDefaultVarlenPartition;
-  /// Write format v3: Serialize() picks NONE / dictionary / RLE /
-  /// frame-of-reference per minipage by comparing encoded sizes. Off by
-  /// default, so existing v1 bytes (and every golden digest over them)
-  /// are unchanged. Deserialize() preserves the flag, so re-sorted
-  /// replica copies re-encode rather than carrying stale codes.
-  bool enable_encoding = false;
 };
 
 /// \brief Mutable, in-memory PAX block (one column vector per attribute).
@@ -60,7 +52,6 @@ class PaxBlock {
   PaxBlock(Schema schema, BlockFormatOptions options = {});
 
   const Schema& schema() const { return schema_; }
-  const BlockFormatOptions& options() const { return options_; }
   uint32_t num_records() const {
     return columns_.empty() ? 0
                             : static_cast<uint32_t>(columns_[0].size());
@@ -129,10 +120,9 @@ class PaxBlock {
 /// query/vectorized.cc auto-vectorise over these spans.
 ///
 /// Alignment contract: the serialiser starts every value array at an
-/// 8-byte offset *within the block* (v1 minipages and v3 plain/encoded
-/// arrays alike), so whenever the enclosing buffer is 8-byte aligned the
-/// memcpy loads hit naturally aligned addresses and compile to aligned
-/// vector loads. The static_asserts below pin the widths that contract
+/// 8-byte offset *within the block*, so whenever the enclosing buffer is
+/// 8-byte aligned the memcpy loads hit naturally aligned addresses and
+/// compile to aligned vector loads. The static_asserts below pin the widths that contract
 /// serves; 8 must remain a multiple of every span element size.
 template <typename T>
 class ColumnSpan {
@@ -258,51 +248,21 @@ class PaxBlockView {
   /// Values-only bytes of column \p i — what the column occupies at paper
   /// scale, where the sparse offset side-car is negligible. Cost billing
   /// uses this; the real (scaled-down) offset lists are denser and must
-  /// not be scaled up (DESIGN.md §2). For an *encoded* minipage this is
-  /// the stored (compressed) extent — codes, runs, dictionary — so the
-  /// datanode transfer terms automatically bill compressed bytes.
+  /// not be scaled up (DESIGN.md §2).
   uint64_t column_value_bytes(int i) const {
     const ColumnInfo& ci = cols_[static_cast<size_t>(i)];
-    return ci.type == FieldType::kString && ci.encoding == MiniPageEncoding::kPlain
-               ? ci.values_bytes
-               : ci.minipage_bytes;
+    return ci.type == FieldType::kString ? ci.values_bytes : ci.minipage_bytes;
   }
-
-  /// True when the block was serialised as format v3 (encoded minipages).
-  bool encoded_format() const { return layout_kind_ == kPaxLayoutEncoded; }
-  /// Physical encoding of column \p i's minipage (kPlain for v1 blocks).
-  MiniPageEncoding column_encoding(int i) const {
-    return cols_[static_cast<size_t>(i)].encoding;
-  }
-  /// Number of columns stored under a non-plain encoding.
-  int num_encoded_columns() const;
-  /// Stored payload bytes: sum of column_value_bytes over all columns plus
-  /// the bad-record tail. With encoding on this is the compressed size the
-  /// cost model bills for transfer (PaxBlock::PayloadBytes() stays the
-  /// uncompressed logical payload).
-  uint64_t stored_payload_bytes() const;
 
   // -- Batch accessors (the vectorized scan engine's read path) --
 
   /// Zero-copy typed view over a fixed-size minipage. Type must match:
-  /// Int32Span serves kInt32 and kDate columns. Plain-encoded minipages
-  /// only; encoded columns are served by the spans below
-  /// (FailedPrecondition otherwise — callers dispatch on
-  /// column_encoding()).
+  /// Int32Span serves kInt32 and kDate columns.
   Result<ColumnSpan<int32_t>> Int32Span(int column) const;
   Result<ColumnSpan<int64_t>> Int64Span(int column) const;
   Result<ColumnSpan<double>> DoubleSpan(int column) const;
 
-  /// Zero-copy views over encoded minipages (format v3). Each requires
-  /// the matching encoding/type pair.
-  Result<ForSpan> ForSpanOf(int column) const;
-  Result<RleSpan<int32_t>> RleInt32Span(int column) const;
-  Result<RleSpan<int64_t>> RleInt64Span(int column) const;
-  Result<RleSpan<double>> RleDoubleSpan(int column) const;
-  Result<DictSpan> DictSpanOf(int column) const;
-
   /// Sequential decoder for a string column (O(n) full-column access).
-  /// Plain varlen minipages only; dictionary columns use DictSpanOf.
   Result<VarlenCursor> OpenVarlenCursor(int column) const;
 
   /// Sequential reader over the bad-record section (O(n) total).
@@ -331,34 +291,19 @@ class PaxBlockView {
  private:
   struct ColumnInfo {
     FieldType type;
-    MiniPageEncoding encoding = MiniPageEncoding::kPlain;
     uint64_t minipage_offset = 0;  // absolute in data_
     uint64_t minipage_bytes = 0;
-    // Plain minipages: absolute position of the raw value array (equal to
-    // minipage_offset in v1; past the tag byte + pad in v3).
+    // Absolute position of the raw value array (minipage_offset for
+    // fixed-size columns; past the offset list for varlen ones).
     uint64_t values_pos = 0;
-    // For plain varlen columns:
+    // For varlen columns:
     uint64_t offsets_pos = 0;      // absolute position of offset array
     uint32_t num_offsets = 0;
     uint64_t values_bytes = 0;
-    // For encoded minipages (format v3):
-    uint8_t code_width = 0;        // FOR/DICT code bytes (1/2/4)
-    int64_t frame = 0;             // FOR frame (column minimum)
-    uint64_t codes_pos = 0;        // FOR/DICT per-row code array
-    uint32_t num_runs = 0;         // RLE
-    uint64_t run_starts_pos = 0;   // RLE u32 start-row array
-    uint64_t run_values_pos = 0;   // RLE value array
-    uint32_t dict_size = 0;        // DICT entry count
-    uint64_t dict_offsets_pos = 0; // DICT u32 entry offsets
-    uint64_t dict_values_pos = 0;  // DICT NUL-terminated entries
-    uint64_t dict_values_bytes = 0;
   };
-
-  Status ResolveEncodedColumn(ColumnInfo* ci);
 
   std::string_view data_;
   Schema schema_;
-  uint8_t layout_kind_ = kPaxLayoutPlain;
   uint32_t num_records_ = 0;
   uint32_t num_bad_records_ = 0;
   uint32_t varlen_partition_ = kDefaultVarlenPartition;

@@ -63,19 +63,10 @@ Result<std::shared_ptr<const CachedHailBlock>> OpenCachedHailBlock(
 /// re-scanning their partition per access).
 struct ProjectedColumn {
   FieldType type = FieldType::kInt32;
-  MiniPageEncoding enc = MiniPageEncoding::kPlain;
   ColumnSpan<int32_t> i32;
   ColumnSpan<int64_t> i64;
   ColumnSpan<double> f64;
   VarlenCursor varlen;
-  // Encoded minipages (format v3): qualifying rows decode here, one value
-  // at a time — the scan itself ran on the encoded form.
-  ForSpan forspan;
-  RleSpan<int32_t> rle_i32;
-  RleSpan<int64_t> rle_i64;
-  RleSpan<double> rle_f64;
-  DictSpan dict;
-  uint32_t rle_run = 0;  // sequential run cursor (selections are ascending)
 };
 
 Result<ProjectedColumn> OpenProjectedColumn(const PaxBlockView& pax,
@@ -87,37 +78,6 @@ Result<ProjectedColumn> OpenProjectedColumn(const PaxBlockView& pax,
   }
   ProjectedColumn out;
   out.type = pax.schema().field(column).type;
-  out.enc = pax.column_encoding(column);
-  switch (out.enc) {
-    case MiniPageEncoding::kFor: {
-      HAIL_ASSIGN_OR_RETURN(out.forspan, pax.ForSpanOf(column));
-      return out;
-    }
-    case MiniPageEncoding::kRle: {
-      switch (out.type) {
-        case FieldType::kInt32:
-        case FieldType::kDate: {
-          HAIL_ASSIGN_OR_RETURN(out.rle_i32, pax.RleInt32Span(column));
-          break;
-        }
-        case FieldType::kInt64: {
-          HAIL_ASSIGN_OR_RETURN(out.rle_i64, pax.RleInt64Span(column));
-          break;
-        }
-        default: {
-          HAIL_ASSIGN_OR_RETURN(out.rle_f64, pax.RleDoubleSpan(column));
-          break;
-        }
-      }
-      return out;
-    }
-    case MiniPageEncoding::kDict: {
-      HAIL_ASSIGN_OR_RETURN(out.dict, pax.DictSpanOf(column));
-      return out;
-    }
-    case MiniPageEncoding::kPlain:
-      break;
-  }
   switch (out.type) {
     case FieldType::kInt32:
     case FieldType::kDate: {
@@ -140,39 +100,7 @@ Result<ProjectedColumn> OpenProjectedColumn(const PaxBlockView& pax,
   return out;
 }
 
-/// Run-cursor access: ascending rows advance the remembered run index in
-/// amortised O(1); a backward jump (new block range) re-seeks via the
-/// branchless binary search.
-template <typename T>
-T RleAt(const RleSpan<T>& span, uint32_t* run, uint32_t row) {
-  if (row < span.run_start(*run)) *run = span.RunContaining(row);
-  while (span.run_end(*run) <= row) ++*run;
-  return span.run_value(*run);
-}
-
 Result<Value> ReadProjectedValue(ProjectedColumn* col, uint32_t row) {
-  switch (col->enc) {
-    case MiniPageEncoding::kFor: {
-      const int64_t v = col->forspan.Value(row);
-      return col->type == FieldType::kInt64
-                 ? Value(v)
-                 : Value(static_cast<int32_t>(v));
-    }
-    case MiniPageEncoding::kRle:
-      switch (col->type) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          return Value(RleAt(col->rle_i32, &col->rle_run, row));
-        case FieldType::kInt64:
-          return Value(RleAt(col->rle_i64, &col->rle_run, row));
-        default:
-          return Value(RleAt(col->rle_f64, &col->rle_run, row));
-      }
-    case MiniPageEncoding::kDict:
-      return Value(std::string(col->dict.Value(row)));
-    case MiniPageEncoding::kPlain:
-      break;
-  }
   switch (col->type) {
     case FieldType::kInt32:
     case FieldType::kDate:
@@ -558,21 +486,6 @@ class HailRecordReader : public RecordReader {
                          node_cost.MapCalls(logical_qualifying);
     cost->cpu_seconds += cpu_s;
     cost->ledger.Bill(obs::CostBucket::kCpu, cpu_s);
-    // Scan-on-compressed (format v3): the filter ran on the encoded form,
-    // so only qualifying rows pay the per-value decode, once per encoded
-    // projected column. Zero for v1/v2 blocks (every column reads kPlain).
-    uint64_t encoded_projected = 0;
-    for (int colm : proj) {
-      if (pax.column_encoding(colm) != MiniPageEncoding::kPlain) {
-        ++encoded_projected;
-      }
-    }
-    if (encoded_projected > 0) {
-      const double decode_s =
-          node_cost.DecodeValues(logical_qualifying * encoded_projected);
-      cost->cpu_seconds += decode_s;
-      cost->ledger.Bill(obs::CostBucket::kDecode, decode_s);
-    }
     if (!index_scan && !uc_scan) {
       // Full scans decode every record, not just qualifying ones.
       const double scan_cpu_s =

@@ -30,7 +30,7 @@
 namespace hail {
 namespace obs {
 
-/// Where one billed cost term goes. Readers bill the first six;
+/// Where one billed cost term goes. Readers bill the first four;
 /// kFailoverReread is billed by the replica-failover path for work on
 /// replicas that turned out corrupt or dead; the two waste buckets are
 /// billed by the session engine (slot time lost to preemption, the full
@@ -40,13 +40,11 @@ enum class CostBucket : uint8_t {
   kTransfer,
   kNetwork,
   kCpu,
-  kDecode,
-  kEncode,
   kFailoverReread,
   kWastedPreemption,
   kWastedSpeculation,
 };
-inline constexpr int kNumCostBuckets = 9;
+inline constexpr int kNumCostBuckets = 7;
 
 inline const char* CostBucketName(CostBucket b) {
   switch (b) {
@@ -58,10 +56,6 @@ inline const char* CostBucketName(CostBucket b) {
       return "network";
     case CostBucket::kCpu:
       return "cpu";
-    case CostBucket::kDecode:
-      return "decode";
-    case CostBucket::kEncode:
-      return "encode";
     case CostBucket::kFailoverReread:
       return "failover_reread";
     case CostBucket::kWastedPreemption:

@@ -13,7 +13,7 @@
 ///   - small equi-depth histogram — range selectivity from bucket counts.
 ///
 /// The serialized form is a versioned sidecar ("HSTA" v1). Block bytes
-/// (golden v1/v3 formats) are untouched: stats live only in namenode
+/// (the golden PAX format) are untouched: stats live only in namenode
 /// metadata, mirroring how Dir_rep extends stock HDFS without changing
 /// what datanodes store.
 

@@ -1,7 +1,6 @@
 #include "query/vectorized.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "index/key_search.h"
 
@@ -54,154 +53,6 @@ void SparseFilter(const ColumnSpan<T>& col, CompareOp op, L lit,
     }
     sel->resize(w);
   });
-}
-
-// -- Scan-on-compressed kernels ---------------------------------------------
-
-/// Outcome of rewriting a literal into the encoded domain of one block.
-enum class LiteralFold : uint8_t {
-  kKernel,  // run the code kernel with the rewritten literal
-  kAll,     // every row matches this term
-  kNone,    // no row matches this term
-};
-
-/// Rewrites an integral literal into FOR code space (code = value − frame)
-/// and constant-folds comparisons that fall outside [0, code_max]. The
-/// arithmetic runs in 128 bits: literal − frame can exceed the int64
-/// range when the two have opposite signs.
-LiteralFold FoldCodeLiteral(CompareOp op, __int128 rewritten,
-                            uint64_t code_max, int64_t* kernel_lit) {
-  if (rewritten < 0) {
-    switch (op) {
-      case CompareOp::kEq:
-      case CompareOp::kLt:
-      case CompareOp::kLe:
-        return LiteralFold::kNone;  // all codes are >= 0 > literal
-      default:
-        return LiteralFold::kAll;
-    }
-  }
-  if (rewritten > static_cast<__int128>(code_max)) {
-    switch (op) {
-      case CompareOp::kEq:
-      case CompareOp::kGt:
-      case CompareOp::kGe:
-        return LiteralFold::kNone;  // all codes are <= code_max < literal
-      default:
-        return LiteralFold::kAll;
-    }
-  }
-  *kernel_lit = static_cast<int64_t>(rewritten);
-  return LiteralFold::kKernel;
-}
-
-/// Dense/sparse loops over a 1/2/4-byte code array. `map` lifts a raw
-/// code into the comparison domain (identity for rewritten integral
-/// literals, frame + code → double for double literals).
-template <typename C, typename L, typename Map>
-void DenseCodeFilter(const char* codes, CompareOp op, L lit, Map map,
-                     uint32_t begin, uint32_t end,
-                     std::vector<uint32_t>* out) {
-  WithComparator<L>(op, lit, [&](auto pred) {
-    for (uint32_t r = begin; r < end; ++r) {
-      C c;
-      std::memcpy(&c, codes + static_cast<size_t>(r) * sizeof(C), sizeof(C));
-      if (pred(map(c))) out->push_back(r);
-    }
-  });
-}
-
-template <typename C, typename L, typename Map>
-void SparseCodeFilter(const char* codes, CompareOp op, L lit, Map map,
-                      std::vector<uint32_t>* sel) {
-  WithComparator<L>(op, lit, [&](auto pred) {
-    size_t w = 0;
-    for (uint32_t r : *sel) {
-      C c;
-      std::memcpy(&c, codes + static_cast<size_t>(r) * sizeof(C), sizeof(C));
-      if (pred(map(c))) (*sel)[w++] = r;
-    }
-    sel->resize(w);
-  });
-}
-
-/// Width dispatch shared by the FOR and dictionary kernels.
-template <typename L, typename Map>
-void RunCodeFilter(const char* codes, uint8_t width, CompareOp op, L lit,
-                   Map map, RowRange range, bool dense,
-                   std::vector<uint32_t>* rows) {
-  switch (width) {
-    case 1:
-      dense ? DenseCodeFilter<uint8_t, L>(codes, op, lit, map, range.begin,
-                                          range.end, rows)
-            : SparseCodeFilter<uint8_t, L>(codes, op, lit, map, rows);
-      break;
-    case 2:
-      dense ? DenseCodeFilter<uint16_t, L>(codes, op, lit, map, range.begin,
-                                           range.end, rows)
-            : SparseCodeFilter<uint16_t, L>(codes, op, lit, map, rows);
-      break;
-    default:
-      dense ? DenseCodeFilter<uint32_t, L>(codes, op, lit, map, range.begin,
-                                           range.end, rows)
-            : SparseCodeFilter<uint32_t, L>(codes, op, lit, map, rows);
-      break;
-  }
-}
-
-/// Applies a folded-away term: kAll keeps the candidate set (filling the
-/// range when this is the first, dense, term), kNone empties it.
-void ApplyFold(LiteralFold fold, RowRange range, bool dense,
-               SelectionVector* sel) {
-  if (fold == LiteralFold::kAll) {
-    if (dense) sel->FillRange(range.begin, range.end);
-    return;
-  }
-  sel->Clear();
-}
-
-/// RLE term: the predicate runs once per run and whole qualifying runs
-/// short-circuit into the selection vector without touching per-row data.
-template <typename T, typename L>
-void DenseRleFilter(const RleSpan<T>& col, CompareOp op, L lit,
-                    uint32_t begin, uint32_t end,
-                    std::vector<uint32_t>* out) {
-  if (end <= begin || col.num_records() == 0) return;
-  WithComparator<L>(op, lit, [&](auto pred) {
-    for (uint32_t j = col.RunContaining(begin); j < col.num_runs(); ++j) {
-      const uint32_t s = std::max(col.run_start(j), begin);
-      const uint32_t e = std::min(col.run_end(j), end);
-      if (s >= end) break;
-      if (pred(static_cast<L>(col.run_value(j)))) {
-        for (uint32_t r = s; r < e; ++r) out->push_back(r);
-      }
-    }
-  });
-}
-
-/// Sparse RLE: candidates are ascending, so one forward walk over the
-/// runs evaluates the predicate once per run actually visited.
-template <typename T, typename L>
-void SparseRleFilter(const RleSpan<T>& col, CompareOp op, L lit,
-                     std::vector<uint32_t>* sel) {
-  if (sel->empty()) return;
-  WithComparator<L>(op, lit, [&](auto pred) {
-    size_t w = 0;
-    uint32_t j = col.RunContaining((*sel)[0]);
-    bool match = pred(static_cast<L>(col.run_value(j)));
-    for (uint32_t r : *sel) {
-      while (col.run_end(j) <= r) {
-        ++j;
-        match = pred(static_cast<L>(col.run_value(j)));
-      }
-      if (match) (*sel)[w++] = r;
-    }
-    sel->resize(w);
-  });
-}
-
-uint64_t MaxCodeForWidth(uint8_t width) {
-  return width == 1 ? 0xFFull : width == 2 ? 0xFFFFull : 0xFFFFFFFFull;
 }
 
 }  // namespace
@@ -280,189 +131,10 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Predicate& pred,
   return out;
 }
 
-Status CompiledPredicate::ApplyForTerm(const PaxBlockView& view,
-                                       const CompiledTerm& term,
-                                       RowRange range, bool dense,
-                                       SelectionVector* sel) const {
-  HAIL_ASSIGN_OR_RETURN(ForSpan span, view.ForSpanOf(term.column));
-  std::vector<uint32_t>& rows = sel->mutable_rows();
-  const bool integral =
-      term.kind == Kind::kI32VsI64 || term.kind == Kind::kI64VsI64;
-  if (integral) {
-    // Rewrite the literal into code space once; the kernel then compares
-    // raw unsigned codes against it — no per-row frame addition at all.
-    int64_t kernel_lit = 0;
-    const LiteralFold fold = FoldCodeLiteral(
-        term.op, static_cast<__int128>(term.lit_i) - span.frame(),
-        MaxCodeForWidth(span.code_width()), &kernel_lit);
-    if (fold != LiteralFold::kKernel) {
-      ApplyFold(fold, range, dense, sel);
-      return Status::OK();
-    }
-    RunCodeFilter<int64_t>(
-        span.codes(), span.code_width(), term.op, kernel_lit,
-        [](auto c) { return static_cast<int64_t>(c); }, range, dense, &rows);
-    return Status::OK();
-  }
-  // Double literal: compare frame + code widened to double, the same
-  // widening the plain kernel applies to the decoded value.
-  const int64_t frame = span.frame();
-  RunCodeFilter<double>(
-      span.codes(), span.code_width(), term.op, term.lit_d,
-      [frame](auto c) {
-        return static_cast<double>(static_cast<int64_t>(
-            static_cast<uint64_t>(frame) + static_cast<uint64_t>(c)));
-      },
-      range, dense, &rows);
-  return Status::OK();
-}
-
-Status CompiledPredicate::ApplyRleTerm(const PaxBlockView& view,
-                                       const CompiledTerm& term,
-                                       RowRange range, bool dense,
-                                       SelectionVector* sel) const {
-  std::vector<uint32_t>& rows = sel->mutable_rows();
-  switch (term.kind) {
-    case Kind::kI32VsI64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int32_t> col,
-                            view.RleInt32Span(term.column));
-      dense ? DenseRleFilter<int32_t, int64_t>(col, term.op, term.lit_i,
-                                               range.begin, range.end, &rows)
-            : SparseRleFilter<int32_t, int64_t>(col, term.op, term.lit_i,
-                                                &rows);
-      break;
-    }
-    case Kind::kI32VsF64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int32_t> col,
-                            view.RleInt32Span(term.column));
-      dense ? DenseRleFilter<int32_t, double>(col, term.op, term.lit_d,
-                                              range.begin, range.end, &rows)
-            : SparseRleFilter<int32_t, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kI64VsI64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int64_t> col,
-                            view.RleInt64Span(term.column));
-      dense ? DenseRleFilter<int64_t, int64_t>(col, term.op, term.lit_i,
-                                               range.begin, range.end, &rows)
-            : SparseRleFilter<int64_t, int64_t>(col, term.op, term.lit_i,
-                                                &rows);
-      break;
-    }
-    case Kind::kI64VsF64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int64_t> col,
-                            view.RleInt64Span(term.column));
-      dense ? DenseRleFilter<int64_t, double>(col, term.op, term.lit_d,
-                                              range.begin, range.end, &rows)
-            : SparseRleFilter<int64_t, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kF64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<double> col,
-                            view.RleDoubleSpan(term.column));
-      dense ? DenseRleFilter<double, double>(col, term.op, term.lit_d,
-                                             range.begin, range.end, &rows)
-            : SparseRleFilter<double, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kString:
-      return Status::InvalidArgument("string term in RLE kernel");
-  }
-  return Status::OK();
-}
-
-Status CompiledPredicate::ApplyDictTerm(const PaxBlockView& view,
-                                        const CompiledTerm& term,
-                                        RowRange range, bool dense,
-                                        SelectionVector* sel) const {
-  HAIL_ASSIGN_OR_RETURN(DictSpan span, view.DictSpanOf(term.column));
-  // Rewrite the string literal into code space once per block. The
-  // dictionary is sorted and distinct, so code order IS string order:
-  // every comparison maps to a bound over the codes.
-  const uint32_t dict_size = span.dict_size();
-  LiteralFold fold = LiteralFold::kKernel;
-  CompareOp code_op = CompareOp::kEq;
-  int64_t code_lit = 0;
-  switch (term.op) {
-    case CompareOp::kEq:
-    case CompareOp::kNe: {
-      const uint32_t lb = span.LowerBound(term.lit_s);
-      const bool present = lb < dict_size && span.DictEntry(lb) == term.lit_s;
-      if (!present) {
-        fold = term.op == CompareOp::kEq ? LiteralFold::kNone
-                                         : LiteralFold::kAll;
-      } else {
-        code_op = term.op;
-        code_lit = lb;
-      }
-      break;
-    }
-    case CompareOp::kLt:
-    case CompareOp::kLe: {
-      // v < lit  ⇔ code < LowerBound(lit);  v <= lit ⇔ code < UpperBound.
-      const uint32_t bound = term.op == CompareOp::kLt
-                                 ? span.LowerBound(term.lit_s)
-                                 : span.UpperBound(term.lit_s);
-      if (bound == 0) {
-        fold = LiteralFold::kNone;
-      } else if (bound == dict_size) {
-        fold = LiteralFold::kAll;
-      } else {
-        code_op = CompareOp::kLt;
-        code_lit = bound;
-      }
-      break;
-    }
-    case CompareOp::kGt:
-    case CompareOp::kGe: {
-      // v > lit  ⇔ code >= UpperBound(lit);  v >= lit ⇔ code >= LowerBound.
-      const uint32_t bound = term.op == CompareOp::kGt
-                                 ? span.UpperBound(term.lit_s)
-                                 : span.LowerBound(term.lit_s);
-      if (bound == dict_size) {
-        fold = LiteralFold::kNone;
-      } else if (bound == 0) {
-        fold = LiteralFold::kAll;
-      } else {
-        code_op = CompareOp::kGe;
-        code_lit = bound;
-      }
-      break;
-    }
-    case CompareOp::kBetween:
-      return Status::InvalidArgument("between not decomposed");
-  }
-  if (fold != LiteralFold::kKernel) {
-    ApplyFold(fold, range, dense, sel);
-    return Status::OK();
-  }
-  RunCodeFilter<int64_t>(
-      span.codes(), span.code_width(), code_op, code_lit,
-      [](auto c) { return static_cast<int64_t>(c); }, range, dense,
-      &sel->mutable_rows());
-  return Status::OK();
-}
-
-bool CompiledPredicate::IsCheapTerm(const PaxBlockView& view,
-                                    const CompiledTerm& term) const {
-  return term.kind != Kind::kString ||
-         view.column_encoding(term.column) == MiniPageEncoding::kDict;
-}
-
 Status CompiledPredicate::ApplyFixedTerm(const PaxBlockView& view,
                                          const CompiledTerm& term,
                                          RowRange range, bool dense,
                                          SelectionVector* sel) const {
-  switch (view.column_encoding(term.column)) {
-    case MiniPageEncoding::kPlain:
-      break;
-    case MiniPageEncoding::kFor:
-      return ApplyForTerm(view, term, range, dense, sel);
-    case MiniPageEncoding::kRle:
-      return ApplyRleTerm(view, term, range, dense, sel);
-    case MiniPageEncoding::kDict:
-      return Status::InvalidArgument("fixed term on dictionary column");
-  }
   std::vector<uint32_t>& rows = sel->mutable_rows();
   switch (term.kind) {
     case Kind::kI32VsI64: {
@@ -515,9 +187,6 @@ Status CompiledPredicate::ApplyStringTerm(const PaxBlockView& view,
                                           const CompiledTerm& term,
                                           RowRange range, bool dense,
                                           SelectionVector* sel) const {
-  if (view.column_encoding(term.column) == MiniPageEncoding::kDict) {
-    return ApplyDictTerm(view, term, range, dense, sel);
-  }
   HAIL_ASSIGN_OR_RETURN(VarlenCursor cursor,
                         view.OpenVarlenCursor(term.column));
   std::vector<uint32_t>& rows = sel->mutable_rows();
@@ -552,21 +221,18 @@ Status CompiledPredicate::FilterBlock(const PaxBlockView& view, RowRange range,
     sel->FillRange(range.begin, range.end);
     return Status::OK();
   }
-  // Cheap terms first — typed span loads and integer code kernels
-  // (dictionary strings included) narrow the candidate set before any
-  // plain varlen value is decoded. Order within each phase is the term
+  // Cheap terms first — typed span loads narrow the candidate set before
+  // any varlen value is decoded. Order within each phase is the term
   // order, so the conjunction's result set is identical either way.
   bool dense = true;
   for (const CompiledTerm& term : terms_) {
-    if (!IsCheapTerm(view, term)) continue;
-    HAIL_RETURN_NOT_OK(term.kind == Kind::kString
-                           ? ApplyStringTerm(view, term, range, dense, sel)
-                           : ApplyFixedTerm(view, term, range, dense, sel));
+    if (!IsCheapTerm(term)) continue;
+    HAIL_RETURN_NOT_OK(ApplyFixedTerm(view, term, range, dense, sel));
     dense = false;
     if (sel->empty()) return Status::OK();
   }
   for (const CompiledTerm& term : terms_) {
-    if (IsCheapTerm(view, term)) continue;
+    if (IsCheapTerm(term)) continue;
     HAIL_RETURN_NOT_OK(ApplyStringTerm(view, term, range, dense, sel));
     dense = false;
     if (sel->empty()) return Status::OK();
@@ -579,15 +245,12 @@ Status CompiledPredicate::RefineCandidates(const PaxBlockView& view,
   if (terms_.empty() || sel->empty()) return Status::OK();
   // The dense flag is always false: the selection is the candidate set.
   for (const CompiledTerm& term : terms_) {
-    if (!IsCheapTerm(view, term)) continue;
-    HAIL_RETURN_NOT_OK(
-        term.kind == Kind::kString
-            ? ApplyStringTerm(view, term, RowRange{}, false, sel)
-            : ApplyFixedTerm(view, term, RowRange{}, false, sel));
+    if (!IsCheapTerm(term)) continue;
+    HAIL_RETURN_NOT_OK(ApplyFixedTerm(view, term, RowRange{}, false, sel));
     if (sel->empty()) return Status::OK();
   }
   for (const CompiledTerm& term : terms_) {
-    if (IsCheapTerm(view, term)) continue;
+    if (IsCheapTerm(term)) continue;
     HAIL_RETURN_NOT_OK(ApplyStringTerm(view, term, RowRange{}, false, sel));
     if (sel->empty()) return Status::OK();
   }

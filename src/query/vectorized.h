@@ -14,15 +14,6 @@
 /// Predicate::Matches (numeric widening included); the property tests in
 /// tests/vectorized_scan_test.cc assert the equivalence across all field
 /// types, partition sizes, and bad-record mixes.
-///
-/// Encoded minipages (format v3) are scanned WITHOUT decoding: literals
-/// are rewritten once per block into the encoded domain — dictionary
-/// literals become integer code compares against the sorted dictionary,
-/// FOR literals become unsigned code offsets (folding to match-all /
-/// match-none when the literal falls outside the frame) — and RLE terms
-/// evaluate the predicate once per run, short-circuiting whole runs into
-/// the selection vector. Only qualifying rows are ever decoded, at tuple
-/// reconstruction.
 
 #pragma once
 
@@ -128,11 +119,11 @@ class CompiledPredicate {
                                           const Value& literal,
                                           FieldType column_type);
 
-  /// True when the term can run in the cheap first phase: fixed-size
-  /// columns (any encoding) and dictionary-encoded strings, whose compare
-  /// is an integer code kernel after the literal rewrite. Only plain
-  /// varlen strings pay a sequential decode and go last.
-  bool IsCheapTerm(const PaxBlockView& view, const CompiledTerm& term) const;
+  /// True when the term can run in the cheap first phase: its column is
+  /// fixed-size. String terms pay a sequential decode and go last.
+  static bool IsCheapTerm(const CompiledTerm& term) {
+    return term.kind != Kind::kString;
+  }
 
   Status ApplyFixedTerm(const PaxBlockView& view, const CompiledTerm& term,
                         RowRange range, bool dense,
@@ -140,14 +131,6 @@ class CompiledPredicate {
   Status ApplyStringTerm(const PaxBlockView& view, const CompiledTerm& term,
                          RowRange range, bool dense,
                          SelectionVector* sel) const;
-
-  // Scan-on-compressed kernels (format v3 minipages).
-  Status ApplyForTerm(const PaxBlockView& view, const CompiledTerm& term,
-                      RowRange range, bool dense, SelectionVector* sel) const;
-  Status ApplyRleTerm(const PaxBlockView& view, const CompiledTerm& term,
-                      RowRange range, bool dense, SelectionVector* sel) const;
-  Status ApplyDictTerm(const PaxBlockView& view, const CompiledTerm& term,
-                       RowRange range, bool dense, SelectionVector* sel) const;
 
   std::vector<CompiledTerm> terms_;
 };

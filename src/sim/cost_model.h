@@ -84,18 +84,6 @@ class CostModel {
                  c_.reconstruct_us_per_field);
   }
 
-  /// Decoding encoded minipage values at reconstruction (format v3):
-  /// qualifying records × encoded projected columns.
-  double DecodeValues(uint64_t logical_values) const {
-    return CpuUs(static_cast<double>(logical_values) * c_.decode_us_per_value);
-  }
-
-  /// Choosing/emitting minipage encodings while serialising (format v3):
-  /// records × columns, per block build.
-  double EncodeValues(uint64_t logical_values) const {
-    return CpuUs(static_cast<double>(logical_values) * c_.encode_us_per_value);
-  }
-
   /// Calling the user's map function once per record.
   double MapCalls(uint64_t logical_records) const {
     return CpuUs(static_cast<double>(logical_records) * c_.map_call_us);

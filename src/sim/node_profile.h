@@ -97,18 +97,6 @@ struct CostConstants {
   double predicate_us_per_record = 0.012;
   /// PAX -> row tuple reconstruction per qualifying record per column.
   double reconstruct_us_per_field = 0.45;
-  /// Decoding one encoded minipage value (FOR add, RLE lookup, dictionary
-  /// dereference) at tuple reconstruction. Only qualifying rows decode —
-  /// the scan itself runs on the encoded form — so this is billed per
-  /// qualifying record per *encoded* projected column. Cheap relative to
-  /// reconstruct_us_per_field: the win of scan-on-compressed is trading
-  /// transfer bytes for this term.
-  double decode_us_per_value = 0.05;
-  /// Choosing and applying a per-minipage encoding while serialising a
-  /// block (sampling pass + code emission), per value. Paid at upload by
-  /// the client build and by each datanode's replica re-sort, only when
-  /// BlockFormatOptions::enable_encoding is set.
-  double encode_us_per_value = 0.09;
   /// Invoking the user map function once.
   double map_call_us = 0.25;
   /// Abandon an unclustered-index probe (adaptive path) when it yields

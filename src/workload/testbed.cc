@@ -21,7 +21,6 @@ hdfs::DfsConfig MakeDfsConfig(const TestbedConfig& tb) {
       1024.0 / cfg.scale_factor;
   cfg.format.varlen_partition_size = static_cast<uint32_t>(
       std::clamp(std::lround(real_partition), 1l, 1024l));
-  cfg.format.enable_encoding = tb.encode_blocks;
   return cfg;
 }
 

@@ -38,9 +38,6 @@ struct TestbedConfig {
   uint32_t blocks_per_node = 320;
   double hardware_variance = 0.0;
   uint64_t seed = 42;
-  /// Serialise PAX blocks as format v3 (encoded minipages) cluster-wide.
-  /// Off by default so golden byte streams are unchanged.
-  bool encode_blocks = false;
   /// Build per-column block statistics during HAIL uploads (the input of
   /// the cost-based access-path planner). Off by default.
   bool build_stats = false;

@@ -13,7 +13,10 @@
 /// The index and block-stats parsers get a table of hostile inputs: a
 /// forged element count, a field-type byte outside the enum, and every
 /// truncation of a real serialisation. Each must return an error without
-/// throwing (a forged count used to size an allocation or a loop).
+/// throwing (a forged count used to size an allocation or a loop). The
+/// PAX header gets its own table: a column-directory type byte outside
+/// the enum, one that disagrees with the schema, and an unknown layout
+/// kind.
 
 #include <gtest/gtest.h>
 
@@ -38,19 +41,14 @@ namespace {
 
 /// A small mixed-type block with bad records, so every section of the
 /// serialised layout (header, fixed/varlen minipages, bad-record tail)
-/// is present and non-trivial. With \p encoded the same shape serialises
-/// as format v3 with every encoding present: ip draws from a 4-entry pool
-/// (dictionary), date from a narrow range (frame-of-reference), revenue
-/// changes only every ~9 rows (RLE), duration spans the full int32 range
-/// (stays plain).
-PaxBlock MakeBlock(uint64_t seed, bool encoded) {
+/// is present and non-trivial.
+PaxBlock MakeBlock(uint64_t seed) {
   Schema schema({Field{"ip", FieldType::kString},
                  Field{"date", FieldType::kDate},
                  Field{"revenue", FieldType::kDouble},
                  Field{"duration", FieldType::kInt32}});
   BlockFormatOptions options;
   options.varlen_partition_size = 8;
-  options.enable_encoding = encoded;
   PaxBlock block(schema, options);
   Random rng(seed);
   static const char* kIps[] = {"10.0.0.1", "10.0.0.2", "172.16.9.8",
@@ -98,60 +96,43 @@ Status OpenHailDeep(std::string_view bytes) {
 class CorruptionPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CorruptionPropertyTest, TruncatedPaxBlockAlwaysErrors) {
-  for (const bool encoded : {false, true}) {
-    const std::string bytes = MakeBlock(GetParam(), encoded).Serialize();
-    auto view = PaxBlockView::Open(bytes);
-    ASSERT_TRUE(view.ok());
-    ASSERT_EQ(view->encoded_format(), encoded);
-    if (encoded) {
-      // The v3 variant must genuinely exercise encoded minipages.
-      ASSERT_GE(view->num_encoded_columns(), 3);
-    }
-    ASSERT_TRUE(PaxBlock::Deserialize(bytes).ok());
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      auto r = PaxBlock::Deserialize(std::string_view(bytes).substr(0, len));
-      EXPECT_FALSE(r.ok()) << "silent success at truncation length " << len
-                           << " of " << bytes.size()
-                           << " encoded=" << encoded;
-    }
+  const std::string bytes = MakeBlock(GetParam()).Serialize();
+  ASSERT_TRUE(PaxBlock::Deserialize(bytes).ok());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    auto r = PaxBlock::Deserialize(std::string_view(bytes).substr(0, len));
+    EXPECT_FALSE(r.ok()) << "silent success at truncation length " << len
+                         << " of " << bytes.size();
   }
 }
 
 TEST_P(CorruptionPropertyTest, TruncatedHailBlockAlwaysErrors) {
-  for (const bool encoded : {false, true}) {
-    const PaxBlock block = MakeBlock(GetParam(), encoded);
-    const std::string bytes = SerializeHail(block, /*sort_column=*/1);
-    ASSERT_TRUE(OpenHailDeep(bytes).ok());
-    // Every length covers every section boundary (header/index/pax) +- 1.
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      const Status st = OpenHailDeep(std::string_view(bytes).substr(0, len));
-      EXPECT_FALSE(st.ok()) << "silent success at truncation length " << len
-                            << " of " << bytes.size()
-                            << " encoded=" << encoded;
-    }
+  const std::string bytes = SerializeHail(MakeBlock(GetParam()), 1);
+  ASSERT_TRUE(OpenHailDeep(bytes).ok());
+  // Every length covers every section boundary (header/index/pax) +- 1.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const Status st = OpenHailDeep(std::string_view(bytes).substr(0, len));
+    EXPECT_FALSE(st.ok()) << "silent success at truncation length " << len
+                          << " of " << bytes.size();
   }
 }
 
 TEST_P(CorruptionPropertyTest, BitFlippedBlocksNeverCrash) {
-  for (const bool encoded : {false, true}) {
-    const PaxBlock block = MakeBlock(GetParam(), encoded);
-    const std::string pax_bytes = block.Serialize();
-    const std::string hail_bytes = SerializeHail(block, /*sort_column=*/3);
-    // A flipped structural field must surface an error; a flipped payload
-    // byte may still parse (the CRC layer owns that case, below). Either
-    // way: no crash, no out-of-bounds access — which ASan/UBSan verify
-    // across every offset here, including v3's encoding tags, code
-    // widths, run directories, and dictionary offsets.
-    for (size_t i = 0; i < pax_bytes.size(); ++i) {
-      std::string mutated = pax_bytes;
-      mutated[i] = static_cast<char>(mutated[i] ^ 0x40);
-      (void)PaxBlock::Deserialize(mutated);
-    }
-    for (size_t i = 0; i < hail_bytes.size(); ++i) {
-      std::string mutated = hail_bytes;
-      mutated[i] = static_cast<char>(mutated[i] ^ 0x40);
-      (void)OpenHailDeep(mutated);
-    }
+  const PaxBlock block = MakeBlock(GetParam());
+  const std::string pax_bytes = block.Serialize();
+  const std::string hail_bytes = SerializeHail(block, /*sort_column=*/3);
+  // A flipped structural field must surface an error; a flipped payload
+  // byte may still parse (the CRC layer owns that case, below). Either
+  // way: no crash, no out-of-bounds access — which ASan/UBSan verify
+  // across every offset here.
+  for (size_t i = 0; i < pax_bytes.size(); ++i) {
+    std::string mutated = pax_bytes;
+    mutated[i] = static_cast<char>(mutated[i] ^ 0x40);
+    (void)PaxBlock::Deserialize(mutated);
+  }
+  for (size_t i = 0; i < hail_bytes.size(); ++i) {
+    std::string mutated = hail_bytes;
+    mutated[i] = static_cast<char>(mutated[i] ^ 0x40);
+    (void)OpenHailDeep(mutated);
   }
 }
 
@@ -165,34 +146,64 @@ TEST_P(CorruptionPropertyTest, EveryStoredBitFlipFailsCrcVerification) {
   hdfs::MiniDfs dfs(&cluster, hdfs::DfsConfig{});
   hdfs::Datanode& dn = dfs.datanode(0);
   uint64_t next_id = 1;
-  for (const bool encoded : {false, true}) {
-    const std::string bytes =
-        SerializeHail(MakeBlock(GetParam(), encoded), 1);
-    const uint32_t chunk = 512;
-    const std::vector<uint32_t> crcs =
-        hdfs::ComputeChunkChecksums(bytes, chunk);
+  const std::string bytes = SerializeHail(MakeBlock(GetParam()), 1);
+  const uint32_t chunk = 512;
+  const std::vector<uint32_t> crcs = hdfs::ComputeChunkChecksums(bytes, chunk);
 
-    const uint64_t clean_id = next_id++;
-    dn.StoreBlock(clean_id, bytes, crcs);
-    ASSERT_TRUE(dn.ReadBlockVerified(clean_id, chunk).ok());
+  const uint64_t clean_id = next_id++;
+  dn.StoreBlock(clean_id, bytes, crcs);
+  ASSERT_TRUE(dn.ReadBlockVerified(clean_id, chunk).ok());
 
-    for (size_t i = 0; i < bytes.size(); i += 13) {
-      std::string mutated = bytes;
-      mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
-      const uint64_t id = next_id++;
-      dn.StoreBlock(id, mutated, crcs);
-      const Status st = dn.ReadBlockVerified(id, chunk).status();
-      EXPECT_TRUE(st.IsCorruption())
-          << "flip at offset " << i << " not caught: " << st.ToString();
-    }
+  for (size_t i = 0; i < bytes.size(); i += 13) {
+    std::string mutated = bytes;
+    mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
+    const uint64_t id = next_id++;
+    dn.StoreBlock(id, mutated, crcs);
+    const Status st = dn.ReadBlockVerified(id, chunk).status();
+    EXPECT_TRUE(st.IsCorruption())
+        << "flip at offset " << i << " not caught: " << st.ToString();
+  }
 
-    // Truncated-at-rest replicas fail verification (chunk count drift).
-    for (size_t len : {bytes.size() - 1, bytes.size() / 2, size_t{1}}) {
-      const uint64_t id = next_id++;
-      dn.StoreBlock(id, bytes.substr(0, len), crcs);
-      EXPECT_TRUE(dn.ReadBlockVerified(id, chunk).status().IsCorruption())
-          << "truncation to " << len << " not caught";
-    }
+  // Truncated-at-rest replicas fail verification (chunk count drift).
+  for (size_t len : {bytes.size() - 1, bytes.size() / 2, size_t{1}}) {
+    const uint64_t id = next_id++;
+    dn.StoreBlock(id, bytes.substr(0, len), crcs);
+    EXPECT_TRUE(dn.ReadBlockVerified(id, chunk).status().IsCorruption())
+        << "truncation to " << len << " not caught";
+  }
+}
+
+TEST_P(CorruptionPropertyTest, HostilePaxHeaderReturnsErrorsWithoutThrowing) {
+  const PaxBlock block = MakeBlock(GetParam());
+  const std::string bytes = block.Serialize();
+  ASSERT_TRUE(PaxBlockView::Open(bytes).ok());
+  // Header: u32 magic, layout-kind byte, length-prefixed schema text, four
+  // u32 counts, then the column directory (type byte, two u64 each).
+  const size_t kind_offset = 4;
+  const size_t dir_offset = kind_offset + 1 + 4 +
+                            block.schema().ToString().size() + 4 * 4;
+  ASSERT_EQ(block.schema().field(0).type, FieldType::kString);
+  struct HostileHeader {
+    const char* name;
+    size_t offset;
+    uint8_t value;
+  };
+  const HostileHeader cases[] = {
+      {"directory type byte outside the enum", dir_offset, 9},
+      {"string column marked int64", dir_offset,
+       static_cast<uint8_t>(FieldType::kInt64)},
+      {"layout kind 3 (retired encoded minipages)", kind_offset, 3},
+  };
+  for (const HostileHeader& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string hostile = bytes;
+    hostile[c.offset] = static_cast<char>(c.value);
+    Status open;
+    Status decode;
+    EXPECT_NO_THROW(open = PaxBlockView::Open(hostile).status());
+    EXPECT_NO_THROW(decode = PaxBlock::Deserialize(hostile).status());
+    EXPECT_TRUE(open.IsCorruption()) << open.ToString();
+    EXPECT_TRUE(decode.IsCorruption()) << decode.ToString();
   }
 }
 
@@ -207,7 +218,7 @@ struct ParserCase {
 };
 
 std::vector<ParserCase> ParserCases(uint64_t seed) {
-  PaxBlock block = MakeBlock(seed, /*encoded=*/false);
+  PaxBlock block = MakeBlock(seed);
   const PaxBlock unsorted = block;
   block.SortByColumn(1);
   const ColumnVector& dates = block.column(1);

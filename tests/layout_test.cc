@@ -207,125 +207,6 @@ TEST(PaxBlockViewTest, ColumnReadEstimates) {
 }
 
 // ---------------------------------------------------------------------------
-// Encoded minipages (format v3)
-// ---------------------------------------------------------------------------
-
-Schema EncodableSchema() {
-  return Schema({{"k", FieldType::kInt32},
-                 {"tag", FieldType::kString},
-                 {"run", FieldType::kInt32},
-                 {"rev", FieldType::kDouble}});
-}
-
-/// k: narrow range (frame-of-reference), tag: 4 distinct values
-/// (dictionary), run: long runs (RLE), rev: random doubles (stays plain).
-std::string MakeEncodableText(int rows, uint64_t seed) {
-  Random rng(seed);
-  static const char* kTags[] = {"de", "fr", "jp", "us"};
-  std::string out;
-  for (int i = 0; i < rows; ++i) {
-    out += std::to_string(rng.UniformRange(100, 300));
-    out += ",";
-    out += kTags[rng.Uniform(4)];
-    out += ",";
-    out += std::to_string(i / 50);
-    out += ",";
-    out += std::to_string(static_cast<double>(rng.Uniform(100000)) / 100.0);
-    out += "\n";
-  }
-  return out;
-}
-
-TEST(PaxBlockEncodedTest, RoundTripAndEncodingChoice) {
-  BlockFormatOptions options;
-  options.enable_encoding = true;
-  const Schema schema = EncodableSchema();
-  PaxBlock block =
-      BuildPaxBlockFromText(schema, MakeEncodableText(400, 11), options);
-  const std::string bytes = block.Serialize();
-  auto view = PaxBlockView::Open(bytes);
-  ASSERT_TRUE(view.ok());
-  EXPECT_TRUE(view->encoded_format());
-  EXPECT_EQ(view->column_encoding(0), MiniPageEncoding::kFor);
-  EXPECT_EQ(view->column_encoding(1), MiniPageEncoding::kDict);
-  EXPECT_EQ(view->column_encoding(2), MiniPageEncoding::kRle);
-  EXPECT_EQ(view->column_encoding(3), MiniPageEncoding::kPlain);
-  EXPECT_EQ(view->num_encoded_columns(), 3);
-  // Stored (compressed) extent beats the uncompressed payload.
-  EXPECT_LT(view->stored_payload_bytes(), block.PayloadBytes());
-
-  // Row accessors decode through the encoded minipages.
-  for (uint32_t r : {0u, 49u, 50u, 399u}) {
-    EXPECT_EQ(view->GetFixedValue(0, r)->as_int32(),
-              block.GetRow(r)[0].as_int32());
-    EXPECT_EQ(*view->GetString(1, r), block.GetRow(r)[1].as_string());
-    EXPECT_EQ(view->GetFixedValue(2, r)->as_int32(),
-              block.GetRow(r)[2].as_int32());
-  }
-
-  // Full deserialise expands codes/runs/dictionary back to the originals.
-  auto back = PaxBlock::Deserialize(bytes);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->options().enable_encoding);
-  ASSERT_EQ(back->num_records(), block.num_records());
-  for (uint32_t r = 0; r < block.num_records(); ++r) {
-    EXPECT_EQ(back->GetRow(r), block.GetRow(r)) << "row " << r;
-  }
-}
-
-TEST(PaxBlockEncodedTest, PermutedCopyReencodes) {
-  BlockFormatOptions options;
-  options.enable_encoding = true;
-  const Schema schema = EncodableSchema();
-  PaxBlock block =
-      BuildPaxBlockFromText(schema, MakeEncodableText(300, 12), options);
-  // Deserialize -> permute -> serialize is the replica-transformer path:
-  // the re-sorted copy must re-encode the reordered columns from scratch,
-  // never reuse codes minted for the pre-sort order.
-  auto base = PaxBlock::Deserialize(block.Serialize());
-  ASSERT_TRUE(base.ok());
-  const std::vector<uint32_t> perm = ArgSortColumn(base->column(0));
-  const PaxBlock sorted = base->PermutedCopy(perm);
-  const std::string sorted_bytes = sorted.Serialize();
-  auto view = PaxBlockView::Open(sorted_bytes);
-  ASSERT_TRUE(view.ok());
-  EXPECT_TRUE(view->encoded_format());
-  int32_t prev = INT32_MIN;
-  for (uint32_t r = 0; r < view->num_records(); ++r) {
-    const int32_t k = view->GetFixedValue(0, r)->as_int32();
-    EXPECT_GE(k, prev);
-    prev = k;
-    // Each row of the re-encoded block is the permuted original row.
-    EXPECT_EQ(view->GetFixedValue(0, r)->as_int32(),
-              block.GetRow(perm[r])[0].as_int32());
-    EXPECT_EQ(*view->GetString(1, r), block.GetRow(perm[r])[1].as_string());
-    EXPECT_EQ(view->GetFixedValue(2, r)->as_int32(),
-              block.GetRow(perm[r])[2].as_int32());
-    EXPECT_DOUBLE_EQ(view->GetFixedValue(3, r)->as_double(),
-                     block.GetRow(perm[r])[3].as_double());
-  }
-}
-
-TEST(PaxBlockEncodedTest, PlainSpansRefuseEncodedColumns) {
-  BlockFormatOptions options;
-  options.enable_encoding = true;
-  const Schema schema = EncodableSchema();
-  PaxBlock block =
-      BuildPaxBlockFromText(schema, MakeEncodableText(200, 13), options);
-  const std::string bytes = block.Serialize();
-  auto view = PaxBlockView::Open(bytes);
-  ASSERT_TRUE(view.ok());
-  // ColumnSpan's 8-byte-aligned zero-copy contract only holds for plain
-  // minipages; encoded columns must be served by the encoded spans.
-  EXPECT_TRUE(view->Int32Span(0).status().IsFailedPrecondition());
-  EXPECT_TRUE(view->ForSpanOf(0).ok());
-  EXPECT_TRUE(view->OpenVarlenCursor(1).status().IsFailedPrecondition());
-  EXPECT_TRUE(view->DictSpanOf(1).ok());
-  EXPECT_TRUE(view->RleInt32Span(2).ok());
-  EXPECT_TRUE(view->DoubleSpan(3).ok());  // plain column: normal span
-}
-
-// ---------------------------------------------------------------------------
 // Binary row layout (Hadoop++)
 // ---------------------------------------------------------------------------
 

@@ -104,59 +104,6 @@ TEST(ParallelDeterminismTest, HailQuerySerialEqualsParallel) {
   }
 }
 
-TEST(ParallelDeterminismTest, EncodedHailQuerySerialEqualsParallel) {
-  // Format v3 (encoded minipages): the scan-on-compressed kernels and the
-  // encode/decode cost terms must preserve serial == parallel bit-equality.
-  TestbedConfig config = SmallConfig();
-  config.encode_blocks = true;
-  Testbed bed(config);
-  bed.LoadUserVisits();
-  ASSERT_TRUE(bed.UploadHail("/d", {workload::kVisitDate,
-                                    workload::kSourceIP,
-                                    workload::kAdRevenue})
-                  .ok());
-  for (const QueryDef& q : workload::BobQueries()) {
-    auto serial = bed.RunQuery(System::kHail, "/d", q, false,
-                               Mode(ExecutionMode::kSerial), true);
-    auto parallel = bed.RunQuery(System::kHail, "/d", q, false,
-                                 Mode(ExecutionMode::kParallel), true);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectBitIdentical(*serial, *parallel);
-  }
-}
-
-TEST(ParallelDeterminismTest, EncodingChangesCostNotResults) {
-  // Same data, same queries, encoding on vs off: every functional output
-  // (rows seen, qualifying, emitted — in order) must match exactly; only
-  // the simulated timings may differ.
-  TestbedConfig plain_config = SmallConfig();
-  TestbedConfig enc_config = SmallConfig();
-  enc_config.encode_blocks = true;
-  Testbed plain_bed(plain_config);
-  Testbed enc_bed(enc_config);
-  plain_bed.LoadUserVisits();
-  enc_bed.LoadUserVisits();
-  const std::vector<int> sort_cols = {workload::kVisitDate,
-                                      workload::kSourceIP,
-                                      workload::kAdRevenue};
-  ASSERT_TRUE(plain_bed.UploadHail("/d", sort_cols).ok());
-  ASSERT_TRUE(enc_bed.UploadHail("/d", sort_cols).ok());
-  for (const QueryDef& q : workload::BobQueries()) {
-    auto plain = plain_bed.RunQuery(System::kHail, "/d", q, false,
-                                    Mode(ExecutionMode::kSerial), true);
-    auto encoded = enc_bed.RunQuery(System::kHail, "/d", q, false,
-                                    Mode(ExecutionMode::kSerial), true);
-    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-    ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-    EXPECT_EQ(plain->records_seen, encoded->records_seen);
-    EXPECT_EQ(plain->records_qualifying, encoded->records_qualifying);
-    EXPECT_EQ(plain->bad_records_seen, encoded->bad_records_seen);
-    EXPECT_EQ(plain->output_count, encoded->output_count);
-    EXPECT_EQ(plain->output_rows, encoded->output_rows);
-  }
-}
-
 TEST(ParallelDeterminismTest, HadoopFullScanSerialEqualsParallel) {
   Testbed bed(SmallConfig());
   bed.LoadUserVisits();

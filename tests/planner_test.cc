@@ -84,10 +84,8 @@ std::vector<std::string> Sorted(std::vector<std::string> rows) {
 // Stats layer: upload-time sidecars == stats rebuilt from the stored blocks
 // ---------------------------------------------------------------------------
 
-void CheckUploadStatsMatchRebuild(bool encode_blocks) {
-  TestbedConfig config = SmallConfig();
-  config.encode_blocks = encode_blocks;
-  Testbed bed(config);
+TEST(BlockStatsTest, UploadStatsMatchRebuildPlain) {
+  Testbed bed(SmallConfig());
   bed.LoadUserVisits();
   ASSERT_TRUE(bed.UploadHail("/uv", {workload::kVisitDate}).ok());
 
@@ -119,14 +117,6 @@ void CheckUploadStatsMatchRebuild(bool encode_blocks) {
     ++checked;
   }
   EXPECT_GT(checked, 0);
-}
-
-TEST(BlockStatsTest, UploadStatsMatchRebuildPlain) {
-  CheckUploadStatsMatchRebuild(/*encode_blocks=*/false);
-}
-
-TEST(BlockStatsTest, UploadStatsMatchRebuildEncodedV3) {
-  CheckUploadStatsMatchRebuild(/*encode_blocks=*/true);
 }
 
 // The sidecar is unchecksummed namenode metadata: a forged or truncated

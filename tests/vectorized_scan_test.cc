@@ -163,127 +163,6 @@ TEST(VectorizedScanTest, FilterMatchesRowAtATimePath) {
   }
 }
 
-/// Text rows for AllTypesSchema shaped so format-v3 picks every encoding:
-/// k narrow-range (FOR), url/tag low-cardinality (dictionary), rev and cnt
-/// change value only every ~30 rows (RLE, including double runs), d a
-/// narrow date range. Same bad-record mix as MakeText.
-std::string MakeEncodableText(int rows, uint64_t seed, double bad_fraction) {
-  Random rng(seed);
-  static const char* kUrls[] = {"a.com", "bb.net", "c.org", "", "dd.io"};
-  static const char* kTags[] = {"x", "yy", "zzz"};
-  std::string out;
-  std::string run_rev = "0.25";
-  std::string run_cnt = "-7";
-  for (int i = 0; i < rows; ++i) {
-    if (rng.Bernoulli(bad_fraction)) {
-      out += (i % 2 == 0) ? "only,three,fields\n"
-                          : "NaNish,x,1.0,2001-01-01,oops,t\n";
-      continue;
-    }
-    if (i % 30 == 0) {
-      run_rev = std::to_string(
-          static_cast<double>(rng.UniformRange(0, 2000)) / 4.0);
-      run_cnt = std::to_string(rng.UniformRange(-1000000000000LL,
-                                                1000000000000LL));
-    }
-    out += std::to_string(rng.UniformRange(100, 160));
-    out += ",";
-    out += kUrls[rng.Uniform(5)];
-    out += ",";
-    out += run_rev;
-    out += ",";
-    out += "201" + std::to_string(rng.UniformRange(0, 9)) + "-01-0" +
-           std::to_string(rng.UniformRange(1, 9));
-    out += ",";
-    out += run_cnt;
-    out += ",";
-    out += kTags[rng.Uniform(3)];
-    out += "\n";
-  }
-  return out;
-}
-
-/// Satellite property: scanning the encoded form directly — predicate
-/// literals rewritten into code space, kernels over codes/runs — must be
-/// observably identical to both the unencoded vectorized path and the
-/// row-at-a-time reference, across all field types, operators, encodings,
-/// and bad-record mixes.
-TEST(VectorizedScanTest, EncodedScanMatchesPlainAndRowAtATime) {
-  const Schema schema = AllTypesSchema();
-  Random rng(777);
-  for (const uint32_t partition : {3u, 16u}) {
-    for (const int rows : {0, 1, 7, 250, 1000}) {
-      for (const double bad_fraction : {0.0, 0.15}) {
-        const std::string text =
-            MakeEncodableText(rows, rng.NextU64(), bad_fraction);
-        BlockFormatOptions plain_opts;
-        plain_opts.varlen_partition_size = partition;
-        BlockFormatOptions enc_opts = plain_opts;
-        enc_opts.enable_encoding = true;
-        PaxBlock plain_block = BuildPaxBlockFromText(schema, text, plain_opts);
-        PaxBlock enc_block = BuildPaxBlockFromText(schema, text, enc_opts);
-        const std::string plain_bytes = plain_block.Serialize();
-        const std::string enc_bytes = enc_block.Serialize();
-        auto plain = PaxBlockView::Open(plain_bytes);
-        auto enc = PaxBlockView::Open(enc_bytes);
-        ASSERT_TRUE(plain.ok() && enc.ok());
-        ASSERT_TRUE(enc->encoded_format());
-        if (rows >= 250) {
-          // The generator must actually exercise every encoding, or this
-          // property test silently degrades to plain-vs-plain.
-          EXPECT_EQ(enc->column_encoding(0), MiniPageEncoding::kFor);
-          EXPECT_EQ(enc->column_encoding(1), MiniPageEncoding::kDict);
-          EXPECT_EQ(enc->column_encoding(2), MiniPageEncoding::kRle);
-          EXPECT_EQ(enc->column_encoding(4), MiniPageEncoding::kRle);
-          EXPECT_EQ(enc->column_encoding(5), MiniPageEncoding::kDict);
-        }
-
-        for (int trial = 0; trial < 10; ++trial) {
-          Predicate pred = MakePredicate(schema, &rng);
-          if (trial == 0) {
-            // Guaranteed dictionary-equality hit (a literal that IS in the
-            // dictionary), plus a FOR range straddling the frame.
-            PredicateTerm t0;
-            t0.column = 1;
-            t0.op = CompareOp::kEq;
-            t0.literal = Value(std::string("bb.net"));
-            PredicateTerm t1;
-            t1.column = 0;
-            t1.op = CompareOp::kBetween;
-            t1.literal = Value(int32_t{90});
-            t1.literal_hi = Value(int32_t{130});
-            pred = Predicate({t0, t1});
-          }
-          RowRange range{0, plain->num_records()};
-          if (trial % 2 == 1 && plain->num_records() > 0) {
-            range.begin =
-                static_cast<uint32_t>(rng.Uniform(plain->num_records()));
-            range.end = range.begin + static_cast<uint32_t>(rng.Uniform(
-                plain->num_records() - range.begin + 1));
-          }
-          auto compiled = CompiledPredicate::Compile(pred, schema);
-          ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-          SelectionVector sel_plain, sel_enc;
-          ASSERT_TRUE(compiled->FilterBlock(*plain, range, &sel_plain).ok());
-          ASSERT_TRUE(compiled->FilterBlock(*enc, range, &sel_enc).ok());
-          const std::vector<uint32_t> reference =
-              RowAtATimeFilter(*plain, pred, range);
-          EXPECT_EQ(sel_plain.rows(), reference)
-              << "plain filter=" << pred.ToString(schema);
-          EXPECT_EQ(sel_enc.rows(), reference)
-              << "encoded filter=" << pred.ToString(schema)
-              << " partition=" << partition << " rows=" << rows
-              << " bad=" << bad_fraction;
-          // Row-at-a-time over the encoded view (GetAnyValue decodes
-          // per value) closes the three-way equivalence.
-          EXPECT_EQ(RowAtATimeFilter(*enc, pred, range), reference)
-              << "encoded row-at-a-time filter=" << pred.ToString(schema);
-        }
-      }
-    }
-  }
-}
-
 TEST(VectorizedScanTest, ReconstructionMatchesGetRow) {
   const Schema schema = AllTypesSchema();
   Random rng(7);
